@@ -16,7 +16,6 @@ from fractions import Fraction
 from . import dsl
 from .connection import canonicalize, is_isomorphic
 from .errors import DomainError, InternalError, ParseError
-from .exactfield import zeta
 from .fourier import (
     fourier_0_inf,
     fourier_inf_0,
@@ -95,28 +94,25 @@ def _location_text(location) -> str:
 def _cmd_fourier(args) -> int:
     doc = _document(args.file)
     var = _document_var(doc)
-    window = args.precision
+    point = ()
     if args.kind == "sinf":
         if args.s is None:
             raise DomainError("kind sinf needs --s with the finite point")
-        s_value = dsl.parse_scalar_text(args.s)
-
-        def apply(el):
-            return fourier_s_inf(el, s_value, args.sign, window)
-    elif args.kind == "0inf":
-        def apply(el):
-            return fourier_0_inf(el, args.sign, window)
-    elif args.kind == "inf0":
-        def apply(el):
-            return fourier_inf_0(el, args.sign, window)
-    else:
-        def apply(el):
-            return fourier_inf_inf(el, args.sign, window)
-    if args.s is not None and args.kind != "sinf":
+        point = (dsl.parse_scalar_text(args.s),)
+    elif args.s is not None:
         raise DomainError("--s only applies to kind sinf")
+    transform = {
+        "0inf": fourier_0_inf,
+        "inf0": fourier_inf_0,
+        "infinf": fourier_inf_inf,
+        "sinf": fourier_s_inf,
+    }[args.kind]
     results = []
     for stmt in _connection_statements(doc):
-        out = [apply(el) for el in stmt.value.summands]
+        out = [
+            transform(el, *point, args.sign, args.precision)
+            for el in stmt.value.summands
+        ]
         results.append((stmt.name, dsl.FormalConnection(tuple(out))))
     provenance = {"kind": args.kind, "sign": args.sign}
     if args.kind == "sinf":
@@ -133,17 +129,10 @@ def _cmd_unary(args, op) -> int:
     return 0
 
 
-def _cmd_tensor(args) -> int:
+def _cmd_binary(args, op) -> int:
     a, var = _single_elementary(args.file)
     b, _ = _single_elementary(args.file2)
-    _emit_connections([(None, tensor(a, b))], var, args.json)
-    return 0
-
-
-def _cmd_hom(args) -> int:
-    a, var = _single_elementary(args.file)
-    b, _ = _single_elementary(args.file2)
-    _emit_connections([(None, hom(a, b))], var, args.json)
+    _emit_connections([(None, op(a, b))], var, args.json)
     return 0
 
 
@@ -245,21 +234,8 @@ def _cmd_oracle(args) -> int:
 
 # -- wiring ----------------------------------------------------------------
 
-def _add_common(sp, json_flag: bool = True):
-    if json_flag:
-        sp.add_argument("--json", action="store_true", help="emit JSON")
-    sp.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        help="working window for truncated series",
-    )
-    sp.add_argument(
-        "--field-order",
-        type=int,
-        default=None,
-        help="cyclotomic order to admit up front",
-    )
+def _add_json(sp):
+    sp.add_argument("--json", action="store_true", help="emit JSON")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -276,7 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--sign", choices=["plus", "minus"], default="minus")
     sp.add_argument("--s", default=None, help="finite point for kind sinf")
-    _add_common(sp)
+    sp.add_argument(
+        "--precision",
+        type=int,
+        default=None,
+        help="working window for truncated series",
+    )
+    _add_json(sp)
     sp.set_defaults(func=_cmd_fourier)
 
     for name, op, help_text in (
@@ -286,34 +268,33 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("file")
-        _add_common(sp)
+        _add_json(sp)
         sp.set_defaults(func=lambda a, _op=op: _cmd_unary(a, _op))
 
     sp = sub.add_parser("invariants", help="rank, irregularity, slopes")
     sp.add_argument("file")
-    _add_common(sp)
+    _add_json(sp)
     sp.set_defaults(func=_cmd_invariants)
 
-    for name, fn, help_text in (
-        ("tensor", _cmd_tensor, "tensor product of two elementaries"),
-        ("hom", _cmd_hom, "internal hom of two elementaries"),
+    for name, op, help_text in (
+        ("tensor", tensor, "tensor product of two elementaries"),
+        ("hom", hom, "internal hom of two elementaries"),
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("file")
         sp.add_argument("file2")
-        _add_common(sp)
-        sp.set_defaults(func=fn)
+        _add_json(sp)
+        sp.set_defaults(func=lambda a, _op=op: _cmd_binary(a, _op))
 
     sp = sub.add_parser("iso", help="decide isomorphism of two connections")
     sp.add_argument("file")
     sp.add_argument("file2")
-    _add_common(sp, json_flag=False)
     sp.set_defaults(func=_cmd_iso)
 
     sp = sub.add_parser("rigidity", help="index of rigidity of singularity data")
     sp.add_argument("file")
     sp.add_argument("--genus", type=int, default=0)
-    _add_common(sp)
+    _add_json(sp)
     sp.set_defaults(func=_cmd_rigidity)
 
     sp = sub.add_parser(
@@ -321,14 +302,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("file")
     sp.add_argument("file2")
-    _add_common(sp, json_flag=False)
     sp.set_defaults(func=_cmd_z_zhat)
 
     sp = sub.add_parser("oracle-check", help="operator-route consistency check")
     sp.add_argument("--a", default=None, help="pole coefficient (DSL scalar)")
     sp.add_argument("--q", type=int, default=None, help="pole order")
     sp.add_argument("--grid", action="store_true", help="run the standard grid")
-    _add_common(sp, json_flag=False)
     sp.set_defaults(func=_cmd_oracle)
 
     return parser
@@ -338,8 +317,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "field_order", None) is not None:
-            zeta(args.field_order)
         return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -7,24 +7,21 @@ Every formal meromorphic connection in one variable splits as a finite
 direct sum of these, uniquely up to reordering once each summand is
 normalized (rho a pure power) and minimal (phi not expressible in a
 coarser power variable).  This module provides that data model, the
-numerical invariants, the normal forms, and isomorphism testing.
+algebra of Jordan data (pull-back, Kronecker product, push-forward,
+centralizer and fixed-space dimensions), the numerical invariants, the
+normal forms, and isomorphism testing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DomainError
-from .exactfield import ONE, FieldElement, adjoin_root, rational, zeta
+from .exactfield import ONE, FieldElement, adjoin_root, zeta
 from .series import LaurentSeries, working_window
-
-# rho and phi are plain Laurent series; the constructor of
-# ElementaryConnection enforces the shape each one must have
-RamificationMap = LaurentSeries
-ExponentialFactor = LaurentSeries
 
 JordanBlock = tuple[FieldElement, int]
 
@@ -78,12 +75,71 @@ class RegularPart:
             return NotImplemented
         return self.jordan == other.jordan
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         return f"RegularPart({list(self.jordan)!r})"
+
+
+def pullback_regular(j: RegularPart, m: int) -> RegularPart:
+    """Regular part after the substitution u -> u^m: automorphism T^m.
+
+    Eigenvalues are raised to the m-th power; block sizes survive because
+    the eigenvalues are nonzero.
+    """
+    if m < 1:
+        raise DomainError("pullback degree must be a positive integer")
+    return RegularPart([(eig ** m, size) for eig, size in j.jordan])
+
+
+def jordan_tensor(j1: RegularPart, j2: RegularPart) -> RegularPart:
+    """Jordan data of the Kronecker product of two automorphisms.
+
+    The Clebsch-Gordan style rule for a single pair is
+    J_a(lam) (x) J_b(mu) = (+)_{k=1..min(a,b)} J_{a+b+1-2k}(lam*mu).
+    """
+    blocks = []
+    for eig1, a in j1.jordan:
+        for eig2, b in j2.jordan:
+            prod = eig1 * eig2
+            for k in range(1, min(a, b) + 1):
+                blocks.append((prod, a + b + 1 - 2 * k))
+    return RegularPart(blocks)
+
+
+def dim_centralizer(j: RegularPart) -> int:
+    """Dimension of the algebra of matrices commuting with the automorphism.
+
+    Blocks with distinct eigenvalues do not interact; a pair of blocks of
+    sizes (a, b) sharing an eigenvalue contributes min(a, b).
+    """
+    total = 0
+    for eig_a, size_a in j.jordan:
+        for eig_b, size_b in j.jordan:
+            if eig_a == eig_b:
+                total += min(size_a, size_b)
+    return total
+
+
+def dim_fixed(j: RegularPart) -> int:
+    """Dimension of the fixed space ker(T - 1): one per eigenvalue-1 block."""
+    return sum(1 for eig, _ in j.jordan if eig.is_one())
+
+
+def pushforward_monodromy(j: RegularPart, p: int) -> RegularPart:
+    """Jordan data of the push-forward along a degree-p cyclic covering.
+
+    Each block (eig, size) becomes p blocks (root * zeta_p^k, size) where
+    root is the canonical p-th root of the eigenvalue.
+    """
+    if p < 1:
+        raise DomainError("covering degree must be a positive integer")
+    if p == 1:
+        return j
+    blocks = []
+    for eig, size in j.jordan:
+        root = adjoin_root(eig, p)
+        for k in range(p):
+            blocks.append((root * zeta(p, k), size))
+    return RegularPart(blocks)
 
 
 @dataclass(frozen=True)
@@ -98,12 +154,16 @@ class ElementaryConnection:
 
     rho is a series of valuation p >= 1 with no constant term; phi is kept
     as its polar part only (the class depends on nothing else); R carries
-    the regular data.  p, q, r are cached on construction.
+    the regular data.  p, q, r are cached on construction.  A transform
+    output also keeps rho_source, the exact fraction its truncated rho was
+    expanded from; it feeds later transforms and never enters comparisons.
     """
 
-    __slots__ = ("rho", "phi", "reg", "p", "q", "r")
+    __slots__ = ("rho", "phi", "reg", "p", "q", "r", "rho_source")
 
-    def __init__(self, rho: LaurentSeries, phi: LaurentSeries, reg: RegularPart):
+    def __init__(
+        self, rho: LaurentSeries, phi: LaurentSeries, reg: RegularPart, rho_source=None
+    ):
         if rho.is_exactly_zero() or rho.valuation() < 1:
             raise DomainError("ramification maps need valuation at least 1")
         if not rho.coefficient(0).is_zero():
@@ -115,6 +175,7 @@ class ElementaryConnection:
         self.p = rho.valuation()
         self.q = 0 if phi.is_exactly_zero() else -phi.valuation()
         self.r = reg.rank
+        self.rho_source = rho_source
 
     # -- invariants --------------------------------------------------------
 
@@ -155,10 +216,6 @@ class ElementaryConnection:
             return NotImplemented
         return self.rho == other.rho and self.phi == other.phi and self.reg == other.reg
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         return f"El(p={self.p}, q={self.q}, r={self.r})"
 
@@ -182,9 +239,6 @@ class FormalConnection:
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(sorted(el.slope for el in self.summands))
 
-    def plus(self, other: "FormalConnection") -> "FormalConnection":
-        return FormalConnection(self.summands + other.summands)
-
     def __iter__(self):
         return iter(self.summands)
 
@@ -195,10 +249,6 @@ class FormalConnection:
         if not isinstance(other, FormalConnection):
             return NotImplemented
         return self.summands == other.summands
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __repr__(self):
         return f"FormalConnection({len(self.summands)} summands, rank {self.rank})"
@@ -274,10 +324,8 @@ def reduce_minimal(el: ElementaryConnection) -> ElementaryConnection:
     d = _reduction_step(el.p, el.phi)
     if d == 1:
         return el
-    from . import rigidity
-
     phi = LaurentSeries({e // d: c for e, c in el.phi.coeffs.items()})
-    reg = rigidity.pushforward_monodromy(el.reg, d)
+    reg = pushforward_monodromy(el.reg, d)
     return ElementaryConnection(LaurentSeries.monomial(el.p // d), phi, reg)
 
 

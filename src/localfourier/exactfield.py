@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from math import gcd
+from typing import Optional, Union
 
 from .errors import DomainError, FieldError, InternalError, TowerDepthError
 
@@ -65,15 +66,11 @@ def _divisors(n: int) -> tuple[int, ...]:
 
 
 def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
     return a * b // gcd(a, b)
 
 
 def _reduce_unit(n: int, k: int) -> tuple[int, int]:
     # zeta_n^k written with n equal to the actual order of the unit
-    from math import gcd
-
     k %= n
     g = gcd(k, n) if k else n
     return n // g, k // g
@@ -207,12 +204,6 @@ def _cyc_mul(a: _Cyc, b: _Cyc) -> _Cyc:
     return _Cyc(n, _cyc_reduce(n, prod + [_ZERO] * max(0, n - len(prod))))
 
 
-def _cyc_scale(a: _Cyc, r: Fraction) -> _Cyc:
-    if not r or a.is_zero():
-        return _CYC_ZERO
-    return _Cyc(a.n, tuple(x * r for x in a.c))
-
-
 def _cyc_inv(a: _Cyc) -> _Cyc:
     if a.is_zero():
         raise DomainError("division by zero in the coefficient field")
@@ -230,11 +221,6 @@ def _cyc_inv(a: _Cyc) -> _Cyc:
     inv_lead = 1 / r0[0]
     dense = [x * inv_lead for x in s0]
     return _Cyc(a.n, _cyc_reduce(a.n, dense + [_ZERO] * max(0, a.n - len(dense))))
-
-
-def _cyc_eq(a: _Cyc, b: _Cyc) -> bool:
-    a, b, _ = _cyc_pair(a, b)
-    return a.c == b.c
 
 
 def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
@@ -485,10 +471,6 @@ class FieldElement:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash(self.sort_key())
 
@@ -663,26 +645,6 @@ def exp2pi(r: Fraction) -> FieldElement:
     """exp(2 pi i r) for rational r: the eigenvalue of residue r."""
     r = Fraction(r)
     return zeta(r.denominator, r.numerator % r.denominator)
-
-
-def lift_to_common_field(a: FieldElement, b: FieldElement) -> tuple[FieldElement, FieldElement, int]:
-    """Re-express both scalars in Q(zeta_N), N = lcm of their ambient orders.
-
-    The ambient order is the order the element is currently written in, not
-    the minimal one (zeta_2 counts as order 2 even though its value is -1).
-    """
-    a = FieldElement.from_any(a)
-    b = FieldElement.from_any(b)
-
-    def ambient(x: FieldElement) -> int:
-        n = 1
-        for c in x._terms.values():
-            n = _lcm(n, c.n)
-        return n
-
-    n = _lcm(ambient(a), ambient(b))
-    lift = lambda x: FieldElement({m: _cyc_lift(c, n) for m, c in x._terms.items()})
-    return lift(a), lift(b), n
 
 
 def adjoin_root(gamma: Union[FieldElement, int, Fraction], m: int) -> FieldElement:

@@ -10,12 +10,16 @@ against -t/theta; on the standard one-term family it sends
 El(u, a u^-q, triv) to El(-u^(q+1)/(qa), (q+1) a u^-q, [((-1)^q : 1)]),
 and that example pins every sign in this module.  The "plus" transform
 is the composite with u -> -u on the input side.
+
+The three elementary kinds share one skeleton (_transform) and differ only
+in a row of _KINDS.  The Jordan-data algebra the assembly relies on lives
+next to RegularPart in the connection module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .connection import (
     ElementaryConnection,
@@ -87,24 +91,9 @@ class RationalMap:
         return RationalMap(self.num.scale(c), self.den)
 
 
-class TransformedConnection(ElementaryConnection):
-    """An elementary connection whose rho remembers its exact fraction.
-
-    Structurally equal to the plain class; the extra slot only feeds
-    later transforms and provenance output, never comparisons.
-    """
-
-    __slots__ = ("rho_source",)
-
-    def __init__(self, rho, phi, reg, rho_source: Optional[RationalMap] = None):
-        super().__init__(rho, phi, reg)
-        self.rho_source = rho_source
-
-
 def _rho_map(el: ElementaryConnection) -> RationalMap:
-    src = getattr(el, "rho_source", None)
-    if src is not None:
-        return src
+    if el.rho_source is not None:
+        return el.rho_source
     return RationalMap(el.rho, LaurentSeries.one(el.rho.var))
 
 
@@ -115,98 +104,116 @@ def _monodromy_twist(reg: RegularPart, q: int) -> RegularPart:
     return reg.tensor_scalar(rational(-1))
 
 
+class _Kind(NamedTuple):
+    """What one transform kind does not share with the others."""
+
+    requires: tuple  # (predicate on the input, message when it fails)
+    rho_hat: Callable  # (rho, rho', phi') -> the new ramification map
+    p_hat: Callable  # input -> ramification degree of the output
+    corr_sign: int  # phi_hat = phi + corr_sign * (rho/rho') phi'
+    negated_for: int  # the sign whose rho_hat is negated
+    var: str
+
+
+_KINDS = {
+    "0inf": _Kind(
+        ((lambda el: el.q != 0,
+          "the transform of a regular germ is not elementary; use fourier_regular"),),
+        lambda rho, drho, dphi: drho.div_series(dphi),
+        lambda el: el.p + el.q,
+        -1,
+        1,
+        THETA,
+    ),
+    "inf0": _Kind(
+        ((lambda el: el.q != 0,
+          "a regular germ at infinity is invisible to the finite-point transform"),
+         (lambda el: el.q < el.p, "this transform kind needs slope < 1")),
+        lambda rho, drho, dphi: ((rho * rho).mul_series(dphi)) * drho.reciprocal(),
+        lambda el: el.p - el.q,
+        1,
+        -1,
+        TVAR,
+    ),
+    "infinf": _Kind(
+        ((lambda el: el.q > el.p, "this transform kind needs slope > 1"),),
+        lambda rho, drho, dphi: drho * ((rho * rho).mul_series(dphi)).reciprocal(),
+        lambda el: el.q - el.p,
+        1,
+        -1,
+        THETA,
+    ),
+}
+
+
+def _transform(
+    kind: str, el: ElementaryConnection, sign, window: Optional[int]
+) -> ElementaryConnection:
+    # the stationary phase skeleton shared by the three elementary kinds
+    row = _KINDS[kind]
+    sgn = _sign(sign)
+    for holds, message in row.requires:
+        if not holds(el):
+            raise DomainError(message)
+    rho = _rho_map(el)
+    dphi = el.phi.derivative()
+    drho = rho.derivative()
+    rho_hat = row.rho_hat(rho, drho, dphi)
+    if sgn == row.negated_for:
+        rho_hat = -rho_hat
+    w = working_window(row.p_hat(el), el.q) if window is None else window
+    corr = (rho * drho.reciprocal()).mul_series(dphi).expand(window=w)
+    phi_hat = (el.phi + (corr if row.corr_sign > 0 else -corr)).principal_part()
+    return ElementaryConnection(
+        rho_hat.expand(window=w).with_var(row.var),
+        phi_hat.with_var(row.var),
+        _monodromy_twist(el.reg, el.q),
+        rho_source=rho_hat,
+    )
+
+
 def fourier_0_inf(
     el: ElementaryConnection, sign="-", window: Optional[int] = None
-) -> TransformedConnection:
+) -> ElementaryConnection:
     """Transform of an irregular germ at the origin, viewed at infinity.
 
     rho_hat = -sign * rho'/phi', phi_hat = phi - (rho/rho') phi', and the
     regular part picks up the monodromy twist (-1)^q.  The pole order is
     preserved while the ramification degree grows to p + q.
     """
-    sgn = _sign(sign)
-    if el.q == 0:
-        raise DomainError(
-            "the transform of a regular germ is not elementary; use fourier_regular"
-        )
-    rho = _rho_map(el)
-    dphi = el.phi.derivative()
-    drho = rho.derivative()
-    rho_hat = drho.div_series(dphi)
-    if sgn > 0:
-        rho_hat = -rho_hat
-    p_hat, q_hat = el.p + el.q, el.q
-    w = working_window(p_hat, q_hat) if window is None else window
-    corr = (rho * drho.reciprocal()).mul_series(dphi)
-    phi_hat = (el.phi - corr.expand(window=w)).principal_part()
-    return TransformedConnection(
-        rho_hat.expand(window=w).with_var(THETA),
-        phi_hat.with_var(THETA),
-        _monodromy_twist(el.reg, el.q),
-        rho_source=rho_hat,
-    )
+    return _transform("0inf", el, sign, window)
 
 
 def fourier_inf_0(
     el: ElementaryConnection, sign="+", window: Optional[int] = None
-) -> TransformedConnection:
+) -> ElementaryConnection:
     """Inverse direction: a germ at infinity of slope < 1, brought to a point.
 
     rho_hat = sign * rho^2 phi'/rho', phi_hat = phi + (rho/rho') phi';
     the ramification degree drops to p - q.
     """
-    sgn = _sign(sign)
-    if el.q == 0:
-        raise DomainError(
-            "a regular germ at infinity is invisible to the finite-point transform"
-        )
-    if el.q >= el.p:
-        raise DomainError("this transform kind needs slope < 1")
-    sigma = _rho_map(el)
-    dpsi = el.phi.derivative()
-    dsigma = sigma.derivative()
-    rho_hat = ((sigma * sigma).mul_series(dpsi)) * dsigma.reciprocal()
-    if sgn < 0:
-        rho_hat = -rho_hat
-    p_hat = el.p - el.q
-    w = working_window(p_hat, el.q) if window is None else window
-    corr = (sigma * dsigma.reciprocal()).mul_series(dpsi)
-    phi_hat = (el.phi + corr.expand(window=w)).principal_part()
-    return TransformedConnection(
-        rho_hat.expand(window=w).with_var(TVAR),
-        phi_hat.with_var(TVAR),
-        _monodromy_twist(el.reg, el.q),
-        rho_source=rho_hat,
-    )
+    return _transform("inf0", el, sign, window)
 
 
 def fourier_inf_inf(
     el: ElementaryConnection, sign="+", window: Optional[int] = None
-) -> TransformedConnection:
+) -> ElementaryConnection:
     """Transform of a germ at infinity of slope > 1, staying at infinity.
 
     rho_hat = sign * rho'/(phi' rho^2), phi_hat = phi + (rho/rho') phi';
     the ramification degree becomes q - p.
     """
-    sgn = _sign(sign)
-    if el.q <= el.p:
-        raise DomainError("this transform kind needs slope > 1")
-    rho = _rho_map(el)
-    dphi = el.phi.derivative()
-    drho = rho.derivative()
-    rho_hat = drho * ((rho * rho).mul_series(dphi)).reciprocal()
-    if sgn < 0:
-        rho_hat = -rho_hat
-    p_hat, q_hat = el.q - el.p, el.q
-    w = working_window(p_hat, q_hat) if window is None else window
-    corr = (rho * drho.reciprocal()).mul_series(dphi)
-    phi_hat = (el.phi + corr.expand(window=w)).principal_part()
-    return TransformedConnection(
-        rho_hat.expand(window=w).with_var(THETA),
-        phi_hat.with_var(THETA),
-        _monodromy_twist(el.reg, el.q),
-        rho_source=rho_hat,
-    )
+    return _transform("infinf", el, sign, window)
+
+
+def _slope_one_twist(
+    el: ElementaryConnection, s: FieldElement, window: Optional[int] = None
+) -> ElementaryConnection:
+    # el tensored with the rank-one exponential of linear coefficient s:
+    # phi gains the polar part of s / rho
+    w = working_window(el.p, el.p) if window is None else window
+    shift = _rho_map(el).reciprocal().scale(s).expand(window=w).principal_part()
+    return ElementaryConnection(el.rho, el.phi + shift, el.reg, rho_source=el.rho_source)
 
 
 # ---------------------------------------------------------------- germs
@@ -267,21 +274,11 @@ def fourier_s_inf(
         reg = fourier_regular(obj, minimal_extension=minimal_extension)
         coeff = s if sgn > 0 else -s
         phi = LaurentSeries({-1: coeff}, var=THETA)
-        return TransformedConnection(
-            LaurentSeries.identity(THETA),
-            phi,
-            reg,
-            rho_source=RationalMap(
-                LaurentSeries.identity(THETA), LaurentSeries.one(THETA)
-            ),
-        )
+        return ElementaryConnection(LaurentSeries.identity(THETA), phi, reg)
     base = fourier_0_inf(obj, sign, window=window)
     if s.is_zero():
         return base
-    w = working_window(base.p, base.p) if window is None else window
-    shift = base.rho_source.reciprocal().scale(s if sgn > 0 else -s)
-    phi = base.phi + shift.expand(window=w).principal_part().with_var(THETA)
-    return TransformedConnection(base.rho, phi, base.reg, rho_source=base.rho_source)
+    return _slope_one_twist(base, s if sgn > 0 else -s, window)
 
 
 # ------------------------------------------------------------- assembly
@@ -378,22 +375,9 @@ class SingularityDatum:
         if self.is_infinity():
             pieces.extend(self.slope_gt1)
             for shat, els, reg in self.slope_eq1:
-                for el in els:
-                    twist = _rho_map(el).reciprocal().scale(shat)
-                    w = working_window(el.p, el.p)
-                    pieces.append(
-                        ElementaryConnection(
-                            el.rho,
-                            el.phi + twist.expand(window=w).principal_part(),
-                            el.reg,
-                        )
-                    )
+                pieces.extend(_slope_one_twist(el, shat) for el in els)
                 if reg.rank:
-                    pieces.append(
-                        ElementaryConnection(
-                            LaurentSeries.identity(), LaurentSeries({-1: shat}), reg
-                        )
-                    )
+                    pieces.append(_slope_one_twist(regular_connection(reg), shat))
             pieces.extend(self.slope_lt1)
             if self.lt1_regular is not None and self.lt1_regular.rank:
                 pieces.append(regular_connection(self.lt1_regular))
@@ -406,6 +390,26 @@ class SingularityDatum:
     def __repr__(self):
         where = "infinity" if self.is_infinity() else repr(self.location)
         return f"SingularityDatum({where})"
+
+
+def _split_points(data: Sequence[SingularityDatum]):
+    """Separate finite data from the (at most one) datum at infinity."""
+    finite = []
+    at_inf: Optional[SingularityDatum] = None
+    seen = set()
+    for datum in data:
+        if datum.is_infinity():
+            if at_inf is not None:
+                raise DomainError("two singularity data at infinity")
+            at_inf = datum
+        else:
+            if datum.location in seen:
+                raise DomainError(
+                    f"duplicate singularity location {datum.location!r}"
+                )
+            seen.add(datum.location)
+            finite.append(datum)
+    return finite, at_inf
 
 
 class AssemblyResult(FormalConnection):
@@ -431,20 +435,13 @@ def stationary_phase_at_infinity(
     else reaches infinity on the transformed side.  The input is assumed
     equal to its minimal extension (flag echoed, never verified).
     """
-    seen = set()
-    seen_inf = False
+    _split_points(data)
     pieces = []
     for datum in data:
         if datum.is_infinity():
-            if seen_inf:
-                raise DomainError("two singularity data at infinity")
-            seen_inf = True
             for el in datum.slope_gt1:
                 pieces.append(fourier_inf_inf(el, sign, window=window))
         else:
-            if datum.location in seen:
-                raise DomainError(f"duplicate singularity location {datum.location!r}")
-            seen.add(datum.location)
             for el in datum.summands:
                 pieces.append(fourier_s_inf(el, datum.location, sign, window=window))
             if datum.germ is not None:

@@ -9,12 +9,13 @@ fourier module.  oracle_check compares the two routes stage by stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
 from .connection import elementary
+from .dsl import render_scalar
 from .errors import DomainError, InternalError
 from .exactfield import ONE, ZERO, FieldElement, exp2pi, rational
 from .fourier import fourier_0_inf
@@ -119,10 +120,6 @@ class WeylOperator:
             return NotImplemented
         return self.var == other.var and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def with_var(self, var: str) -> "WeylOperator":
         return WeylOperator(self.terms, var)
 
@@ -146,10 +143,6 @@ class WeylOperator:
         return " + ".join(bits)
 
 
-def weyl_mul(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-    return a * b
-
-
 @dataclass(frozen=True)
 class LaplaceResult:
     """Substituted operator, denominators cleared.
@@ -162,6 +155,13 @@ class LaplaceResult:
     theta_power: int
 
 
+def _power(pows: list, base: WeylOperator, n: int) -> WeylOperator:
+    # pows caches base^0, base^1, ...; extend it through base^n
+    while len(pows) <= n:
+        pows.append(pows[-1] * base)
+    return pows[n]
+
+
 def laplace_substitute(a: WeylOperator, var: str = "theta") -> LaplaceResult:
     """Rewrite an operator in t as one in theta.
 
@@ -171,18 +171,13 @@ def laplace_substitute(a: WeylOperator, var: str = "theta") -> LaplaceResult:
     """
     x_img = WeylOperator.monomial(2, 1, 1, var)
     out = WeylOperator.zero(var)
-    x_pows = {0: WeylOperator.scalar(1, var)}
+    x_pows = [WeylOperator.scalar(1, var)]
     for (m, n), c in a.terms.items():
         if m < 0:
             raise DomainError(
                 "the substitution needs polynomial powers of the source variable"
             )
-        if m not in x_pows:
-            p = max(x_pows)
-            while p < m:
-                x_pows[p + 1] = x_pows[p] * x_img
-                p += 1
-        out = out + (x_pows[m] * WeylOperator.monomial(-n, 0, c, var))
+        out = out + (_power(x_pows, x_img, m) * WeylOperator.monomial(-n, 0, c, var))
     shift = max(0, -min((m for m, _ in out.terms), default=0))
     if shift:
         out = WeylOperator.monomial(shift, 0, 1, var) * out
@@ -242,17 +237,12 @@ def ramify_operator(a: WeylOperator, c, k: int, var: str = "eta") -> WeylOperato
     if k < 1:
         raise DomainError("the ramification order must be a positive integer")
     d_img = WeylOperator.monomial(1 - k, 1, 1, var)
-    d_pows = {0: WeylOperator.scalar(1, var)}
+    d_pows = [WeylOperator.scalar(1, var)]
     out = WeylOperator.zero(var)
     kk = rational(k)
     for (m, n), coeff in a.terms.items():
-        if n not in d_pows:
-            p = max(d_pows)
-            while p < n:
-                d_pows[p + 1] = d_pows[p] * d_img
-                p += 1
         factor = coeff * (c ** (m - n)) / (kk ** n)
-        out = out + (WeylOperator.monomial(k * m, 0, factor, var) * d_pows[n])
+        out = out + (WeylOperator.monomial(k * m, 0, factor, var) * _power(d_pows, d_img, n))
     return out
 
 
@@ -286,15 +276,10 @@ def twist_operator(a: WeylOperator, phi: LaurentSeries) -> WeylOperator:
     d_img = WeylOperator(
         {(0, 1): ONE, (-q - 1, 0): lam * rational(-q)}, a.var
     )
-    d_pows = {0: WeylOperator.scalar(1, a.var)}
+    d_pows = [WeylOperator.scalar(1, a.var)]
     out = WeylOperator.zero(a.var)
     for (m, n), coeff in a.terms.items():
-        if n not in d_pows:
-            p = max(d_pows)
-            while p < n:
-                d_pows[p + 1] = d_pows[p] * d_img
-                p += 1
-        out = out + (WeylOperator.monomial(m, 0, coeff, a.var) * d_pows[n])
+        out = out + (WeylOperator.monomial(m, 0, coeff, a.var) * _power(d_pows, d_img, n))
     return out
 
 
@@ -355,25 +340,16 @@ class OracleStage:
     detail: str = ""
 
 
-def _scalar_text(x) -> str:
-    # canonical text form; imported lazily, the printer sits above this module
-    from .dsl import render_scalar
-
-    return render_scalar(x)
-
-
 @dataclass(frozen=True)
 class OracleReport:
+    """The stages of one passing check; a failed stage raises instead."""
+
     a: FieldElement
     q: int
     stages: tuple
 
-    @property
-    def ok(self) -> bool:
-        return True  # a failed stage raises instead of reporting
-
     def lines(self):
-        head = f"oracle check for the pole datum a = {_scalar_text(self.a)}, q = {self.q}"
+        head = f"oracle check for the pole datum a = {render_scalar(self.a)}, q = {self.q}"
         body = [
             f"  [ok] {s.name}: closed form {s.closed_form}, operator route "
             f"{s.pipeline}" + (f" ({s.detail})" if s.detail else "")
@@ -446,7 +422,7 @@ def oracle_check(a, q: int) -> OracleReport:
     stages.append(
         OracleStage(
             "twist",
-            f"coefficient {_scalar_text(lam)}",
+            f"coefficient {render_scalar(lam)}",
             "constant term vanishes",
             "perturbed twist leaves it nonzero",
         )
@@ -457,14 +433,14 @@ def oracle_check(a, q: int) -> OracleReport:
     if res.residue != expected:
         _stage_fail("residue", expected, res.residue)
     stages.append(
-        OracleStage("residue", str(Fraction(q + 2, 2)), _scalar_text(res.residue))
+        OracleStage("residue", str(Fraction(q + 2, 2)), render_scalar(res.residue))
     )
 
     mono = tr.reg.eigenvalue_product()
     if res.monodromy != mono:
         _stage_fail("monodromy", mono, res.monodromy)
     stages.append(
-        OracleStage("monodromy", _scalar_text(mono), _scalar_text(res.monodromy))
+        OracleStage("monodromy", render_scalar(mono), render_scalar(res.monodromy))
     )
 
     return OracleReport(a, q, tuple(stages))

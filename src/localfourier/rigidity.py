@@ -1,67 +1,26 @@
-"""Linear algebra of monodromy data and the rigidity bookkeeping.
+"""Rigidity bookkeeping over collections of singularity data.
 
-The first half works purely with Jordan data: centralizer and fixed-space
-dimensions, and the push-forward of an automorphism along a degree-p
-cyclic cover (eigenvalues spread over all p-th roots, block sizes kept).
-The second half assembles the global index computations over collections
-of singularity data; see the fourier module for the data types.
+The global index computations and the centralizer identity across a
+transform pair, built on the Jordan-data algebra (centralizer and
+fixed-space dimensions, push-forward along a cyclic cover) that lives next
+to RegularPart in the connection module and is re-exported here.  See the
+fourier module for the singularity data types.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import DomainError, InternalError
-from .exactfield import FieldElement, adjoin_root, zeta
-from .connection import (
-    ElementaryConnection,
+from .connection import (  # the Jordan-data algebra is re-exported from here
     RegularPart,
+    dim_centralizer,
+    dim_fixed,
     normalize_ramification,
+    pushforward_monodromy,
 )
-
-
-def dim_centralizer(j: RegularPart) -> int:
-    """Dimension of the algebra of matrices commuting with the automorphism.
-
-    Blocks with distinct eigenvalues do not interact; a pair of blocks of
-    sizes (a, b) sharing an eigenvalue contributes min(a, b).
-    """
-    total = 0
-    for eig_a, size_a in j.jordan:
-        for eig_b, size_b in j.jordan:
-            if eig_a == eig_b:
-                total += min(size_a, size_b)
-    return total
-
-
-def dim_fixed(j: RegularPart) -> int:
-    """Dimension of the fixed space ker(T - 1): one per eigenvalue-1 block."""
-    return sum(1 for eig, _ in j.jordan if eig.is_one())
-
-
-def pushforward_monodromy(j: RegularPart, p: int) -> RegularPart:
-    """Jordan data of the push-forward along a degree-p cyclic covering.
-
-    Each block (eig, size) becomes p blocks (root * zeta_p^k, size) where
-    root is the canonical p-th root of the eigenvalue.
-    """
-    if p < 1:
-        raise DomainError("covering degree must be a positive integer")
-    if p == 1:
-        return j
-    blocks = []
-    for eig, size in j.jordan:
-        root = adjoin_root(eig, p)
-        for k in range(p):
-            blocks.append((root * zeta(p, k), size))
-    return RegularPart(blocks)
-
-
-# --------------------------------------------------------------------------
-# global bookkeeping over singularity data
-
-from .fourier import RegularGermData, SingularityDatum  # noqa: E402
-from .structure import hom  # noqa: E402
+from .errors import DomainError, InternalError
+from .fourier import RegularGermData, SingularityDatum, _split_points
+from .structure import hom
 
 
 def zmin_defect(g: RegularGermData) -> int:
@@ -78,26 +37,6 @@ def zmin_defect(g: RegularGermData) -> int:
             "dimension %d" % (defect, g.kappa ** 2)
         )
     return defect
-
-
-def _split_points(data: Sequence[SingularityDatum]):
-    """Separate finite data from the (at most one) datum at infinity."""
-    finite = []
-    at_inf: Optional[SingularityDatum] = None
-    seen = set()
-    for datum in data:
-        if datum.is_infinity():
-            if at_inf is not None:
-                raise DomainError("two singularity data at infinity")
-            at_inf = datum
-        else:
-            if datum.location in seen:
-                raise DomainError(
-                    f"duplicate singularity location {datum.location!r}"
-                )
-            seen.add(datum.location)
-            finite.append(datum)
-    return finite, at_inf
 
 
 def _z_sum(datum: SingularityDatum) -> int:
@@ -228,22 +167,20 @@ def _low_slope_els(datum: Optional[SingularityDatum]) -> list:
     return els
 
 
-def _match_slopes(finite_side, infinity_side, what: str):
-    """Pair finite pieces with their small-slope counterparts at infinity.
+def _match_slopes(predicted, found, what: str):
+    """Pair pieces with their counterparts on the other side of a transform.
 
-    A finite piece (p, q) must reappear at infinity with ramification
-    p + q, the same pole order, and residual data of the same block
-    shape and centralizer dimension.
+    predicted holds (piece, ramification its counterpart must have); each
+    counterpart in found must also share the pole order and residual data
+    of the same block shape and centralizer dimension.
     """
-    left = sorted(
-        (el.q, el.p + el.q, _jordan_shape(el.reg), dim_centralizer(el.reg))
-        for el in finite_side
-    )
-    right = sorted(
-        (el.q, el.p, _jordan_shape(el.reg), dim_centralizer(el.reg))
-        for el in infinity_side
-    )
-    if left != right:
+
+    def keys(pairs):
+        return sorted(
+            (el.q, p, _jordan_shape(el.reg), dim_centralizer(el.reg)) for el, p in pairs
+        )
+
+    if keys(predicted) != keys((el, el.p) for el in found):
         raise DomainError("slope bookkeeping mismatch: " + what)
 
 
@@ -263,32 +200,24 @@ def z_zhat_discrepancy(
     finite_hat, at_inf_hat = _split_points(data_hat)
 
     _match_slopes(
-        [el for datum in finite for el in datum.summands],
+        [(el, el.p + el.q) for datum in finite for el in datum.summands],
         _low_slope_els(at_inf_hat),
         "finite summands do not correspond to the transform's small-slope "
         "part at infinity",
     )
     _match_slopes(
-        [el for datum in finite_hat for el in datum.summands],
+        [(el, el.p + el.q) for datum in finite_hat for el in datum.summands],
         _low_slope_els(at_inf),
         "the transform's finite summands do not correspond to the "
         "small-slope part at infinity",
     )
     gt1 = list(at_inf.slope_gt1) if at_inf is not None else []
     gt1_hat = list(at_inf_hat.slope_gt1) if at_inf_hat is not None else []
-    left = sorted(
-        (el.q, el.q - el.p, _jordan_shape(el.reg), dim_centralizer(el.reg))
-        for el in gt1
+    _match_slopes(
+        [(el, el.q - el.p) for el in gt1],
+        gt1_hat,
+        "the steep parts at infinity do not correspond under p + p' = q",
     )
-    right = sorted(
-        (el.q, el.p, _jordan_shape(el.reg), dim_centralizer(el.reg))
-        for el in gt1_hat
-    )
-    if left != right:
-        raise DomainError(
-            "slope bookkeeping mismatch: the steep parts at infinity do not "
-            "correspond under p + p' = q"
-        )
 
     lhs = sum(_z_sum(d) for d in data) - sum(_z_sum(d) for d in data_hat)
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import inf
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import DomainError, PrecisionError
-from .exactfield import ONE, ZERO, FieldElement, adjoin_root, rational
+from .exactfield import ONE, ZERO, FieldElement, adjoin_root
 
 Scalar = Union[FieldElement, int, Fraction]
 
@@ -129,10 +129,6 @@ class LaurentSeries:
     def items(self) -> tuple[tuple[int, FieldElement], ...]:
         return tuple(sorted(self.coeffs.items()))
 
-    def degree_known(self) -> Optional[int]:
-        # largest stored exponent, None for a zero table
-        return max(self.coeffs) if self.coeffs else None
-
     # -- structural helpers ------------------------------------------------
 
     def truncate(self, prec: int) -> "LaurentSeries":
@@ -182,10 +178,6 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return self.coeffs == other.coeffs and self.prec == other.prec
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def agrees_to_precision(self, other: "LaurentSeries") -> bool:
         """Equal on every exponent both sides know (full equality when exact)."""
@@ -290,25 +282,12 @@ class LaurentSeries:
         lead_inv = LaurentSeries.monomial(-v, ONE / c, self.var)
         if len(self.coeffs) == 1 and self.prec is None:
             return lead_inv
-        # f = c u^v (1 + h); invert the unit part as a geometric series
-        h = self.shift(-v).scale(ONE / c) - LaurentSeries.one(self.var)
-        if self.prec is not None:
-            rel = self.prec - v
-        else:
-            rel = _resolve_window(window)
-            h = h.truncate(rel)
+        # invert the unit part as a geometric series
+        rel, powers = self._unit_powers(v, c, window)
         geom = LaurentSeries.one(self.var)
-        power = LaurentSeries.one(self.var)
-        hv = h._val_bound()
-        k = 1
-        while k * hv < rel:
-            power = (power * h).truncate(rel)
-            if power.is_zero_to_precision() and power.prec is None:
-                break
+        for k, power in powers:
             geom = geom + (power if k % 2 == 0 else -power)
-            k += 1
-        geom = geom.truncate(rel)
-        return lead_inv * geom
+        return lead_inv * geom.truncate(rel)
 
     def nth_root(self, m: int, window: Optional[int] = None) -> "LaurentSeries":
         """The canonical m-th root; valuation must be divisible by m."""
@@ -325,27 +304,41 @@ class LaurentSeries:
         root_lead = LaurentSeries.monomial(v // m, adjoin_root(c, m), self.var)
         if len(self.coeffs) == 1 and self.prec is None:
             return root_lead
+        # binomial series (1 + h)^(1/m)
+        rel, powers = self._unit_powers(v, c, window)
+        out = LaurentSeries.one(self.var)
+        coef = Fraction(1)
+        for k, power in powers:
+            coef = coef * (Fraction(1, m) - (k - 1)) / k
+            out = out + power.scale(coef)
+        return root_lead * out.truncate(rel)
+
+    def _unit_powers(self, v: int, c: FieldElement, window: Optional[int]):
+        """Write self = c u^v (1 + h); return rel and the powers (k, h^k), k >= 1.
+
+        rel is the relative precision: that of an inexact input, or the
+        working window for an exact one.  Each power comes truncated at rel,
+        and the powers stop once they can no longer reach below it.
+        """
         h = self.shift(-v).scale(ONE / c) - LaurentSeries.one(self.var)
         if self.prec is not None:
             rel = self.prec - v
         else:
             rel = _resolve_window(window)
             h = h.truncate(rel)
-        # binomial series (1 + h)^(1/m)
-        out = LaurentSeries.one(self.var)
-        power = LaurentSeries.one(self.var)
-        coef = Fraction(1)
-        hv = h._val_bound()
-        k = 1
-        while k * hv < rel:
-            coef = coef * (Fraction(1, m) - (k - 1)) / k
-            power = (power * h).truncate(rel)
-            if power.is_zero_to_precision() and power.prec is None:
-                break
-            out = out + power.scale(coef)
-            k += 1
-        out = out.truncate(rel)
-        return root_lead * out
+
+        def powers():
+            power = LaurentSeries.one(self.var)
+            hv = h._val_bound()
+            k = 1
+            while k * hv < rel:
+                power = (power * h).truncate(rel)
+                if power.is_zero_to_precision() and power.prec is None:
+                    return
+                yield k, power
+                k += 1
+
+        return rel, powers()
 
     def compose(self, g: "LaurentSeries", window: Optional[int] = None) -> "LaurentSeries":
         """f(g(u)) for g of strictly positive valuation."""

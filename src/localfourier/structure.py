@@ -1,11 +1,13 @@
 """Structural algebra: dual, tensor, Hom, End regular part, determinant.
 
-Tensor and Hom of elementary connections follow the same pattern: lift
-both factors to a common ramification degree, where the exponential
-factors combine additively and the regular parts combine as a Kronecker
-product of automorphisms; the lift splits into gcd-many summands indexed
-by roots of unity.  The Jordan form of a Kronecker product of Jordan
-blocks has a closed form, so no matrices are ever materialized.
+The tensor product of elementary connections lifts both factors to a
+common ramification degree, where the exponential factors combine
+additively and the regular parts combine as a Kronecker product of
+automorphisms; the lift splits into gcd-many summands indexed by roots
+of unity.  Hom is the tensor product with the dual.  The Jordan-data
+algebra used here (pull-back, Kronecker product, push-forward) lives next
+to RegularPart in the connection module; its closed forms mean no matrix
+is ever materialized.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from .connection import (
     FormalConnection,
     RegularPart,
     canonicalize,
+    jordan_tensor,
     normalize_ramification,
+    pullback_regular,
+    pushforward_monodromy,
     rotate_exponential,
 )
 from .errors import DomainError
@@ -32,32 +37,6 @@ log = logging.getLogger(__name__)
 def dual(el: ElementaryConnection) -> ElementaryConnection:
     """El(rho, -phi, R*) with inverse-transpose Jordan data."""
     return ElementaryConnection(el.rho, -el.phi, el.reg.dual())
-
-
-def pullback_regular(j: RegularPart, m: int) -> RegularPart:
-    """Regular part after the substitution u -> u^m: automorphism T^m.
-
-    Eigenvalues are raised to the m-th power; block sizes survive because
-    the eigenvalues are nonzero.
-    """
-    if m < 1:
-        raise DomainError("pullback degree must be a positive integer")
-    return RegularPart([(eig ** m, size) for eig, size in j.jordan])
-
-
-def jordan_tensor(j1: RegularPart, j2: RegularPart) -> RegularPart:
-    """Jordan data of the Kronecker product of two automorphisms.
-
-    The Clebsch-Gordan style rule for a single pair is
-    J_a(lam) (x) J_b(mu) = (+)_{k=1..min(a,b)} J_{a+b+1-2k}(lam*mu).
-    """
-    blocks = []
-    for eig1, a in j1.jordan:
-        for eig2, b in j2.jordan:
-            prod = eig1 * eig2
-            for k in range(1, min(a, b) + 1):
-                blocks.append((prod, a + b + 1 - 2 * k))
-    return RegularPart(blocks)
 
 
 def _stretch(phi: LaurentSeries, m: int) -> LaurentSeries:
@@ -96,22 +75,8 @@ def tensor(el1: ElementaryConnection, el2: ElementaryConnection) -> FormalConnec
 
 
 def hom(el1: ElementaryConnection, el2: ElementaryConnection) -> FormalConnection:
-    """Hom(el1, el2) = dual(el1) (x) el2, with the rotation on the first slot."""
-    el1 = _ensure_normalized(el1, "hom")
-    el2 = _ensure_normalized(el2, "hom")
-    d = gcd(el1.p, el2.p)
-    p1r, p2r = el1.p // d, el2.p // d
-    big = el1.p * el2.p // d
-    reg = jordan_tensor(
-        pullback_regular(el1.reg.dual(), p2r), pullback_regular(el2.reg, p1r)
-    )
-    base1 = _stretch(el1.phi, p2r)
-    base2 = _stretch(el2.phi, p1r)
-    out = []
-    for k in range(d):
-        phi_k = base2 - rotate_exponential(base1, zeta(big, k))
-        out.append(ElementaryConnection(LaurentSeries.monomial(big, var="w"), phi_k, reg))
-    return canonicalize(FormalConnection(out))
+    """Hom(el1, el2) = dual(el1) (x) el2, returned in canonical form."""
+    return tensor(dual(el1), el2)
 
 
 def end_regular_part(m: FormalConnection) -> list[RegularPart]:
@@ -120,8 +85,6 @@ def end_regular_part(m: FormalConnection) -> list[RegularPart]:
     Distinct canonical summands contribute no cross terms, so the result
     is one entry per summand: the degree-p_i push-forward of R_i* (x) R_i.
     """
-    from .rigidity import pushforward_monodromy
-
     out = []
     for el in m:
         if not el.is_normalized() or not el.is_minimal():

@@ -216,17 +216,23 @@ def test_missing_file_exit_1(run):
     assert code == 1 and "cannot read" in err
 
 
-def test_field_order_flag(run):
-    code, _, _ = run(
-        ["fourier", "--kind", "0inf", "--field-order", "7", "-"],
-        stdin=GOLDEN_IN,
-    )
-    assert code == 0
-    code, _, _ = run(
-        ["fourier", "--kind", "0inf", "--field-order", "0", "-"],
-        stdin=GOLDEN_IN,
-    )
-    assert code == 1
+def test_precision_is_a_fourier_flag_only(run):
+    code, out, err = run(["canon", "--precision", "5", "-"], stdin=GOLDEN_IN)
+    assert code == 2 and out == ""
+    assert "--precision" in err
+
+
+def test_fourier_precision_sets_the_truncation(run):
+    # phi' is not a monomial, so the new rho is a truncated expansion
+    source = "El(rho=u, phi=1/1*u^-2 + 1/1*u^-1, R=[(1:1)])"
+    tails = []
+    for n in (6, 9):
+        code, out, _ = run(
+            ["fourier", "--kind", "0inf", "--precision", str(n), "-"], stdin=source
+        )
+        assert code == 0
+        tails.append(re.search(r"O\(u\^(\d+)\)", out).group(1))
+    assert tails == ["9", "12"]
 
 
 def test_corpus_malformed_exit_2(run):

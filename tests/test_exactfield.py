@@ -15,7 +15,6 @@ from localfourier.exactfield import (
     FieldElement,
     adjoin_root,
     exp2pi,
-    lift_to_common_field,
     rational,
     zeta,
 )
@@ -47,16 +46,6 @@ def test_cross_order_products():
     assert zeta(2) * zeta(3) == zeta(6) ** 5
     assert zeta(4) * zeta(6) == zeta(12) ** 5
 
-
-def test_lift_to_common_field():
-    a, b, n = lift_to_common_field(zeta(2), zeta(3))
-    assert n == 6
-    assert a == zeta(6) ** 3
-    assert b == zeta(6) ** 2
-    a, b, n = lift_to_common_field(zeta(4), zeta(6))
-    assert n == 12
-    assert a == zeta(12) ** 3
-    assert b == zeta(12) ** 2
 
 
 def test_cyclotomic_order_is_minimal():

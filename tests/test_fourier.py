@@ -24,7 +24,6 @@ from localfourier.fourier import (
     RationalMap,
     RegularGermData,
     SingularityDatum,
-    TransformedConnection,
     fourier_0_inf,
     fourier_inf_0,
     fourier_inf_inf,

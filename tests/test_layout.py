@@ -1,0 +1,104 @@
+"""Module layout of the package, read with the standard ast module."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "localfourier"
+PACKAGE = "localfourier"
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _package_targets(node):
+    """Sibling modules of the package that an import statement reaches."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1:
+            base = node.module
+        elif node.level == 0 and node.module and node.module.split(".")[0] == PACKAGE:
+            base = node.module.partition(".")[2] or None
+        else:
+            return []
+        if base is not None:
+            return [base.split(".")[0]]
+        return [alias.name for alias in node.names]  # from . import x
+    if isinstance(node, ast.Import):
+        return [
+            a.name.split(".")[1]
+            for a in node.names
+            if a.name.startswith(PACKAGE + ".")
+        ]
+    return []
+
+
+def _imports_inside_functions(tree):
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    yield fn.name, node
+
+
+def test_module_import_graph_has_no_cycle():
+    trees = _trees()
+    graph = {
+        name: {
+            t
+            for node in ast.walk(tree)
+            for t in _package_targets(node)
+            if t in trees and t != name
+        }
+        for name, tree in trees.items()
+        if name != "__init__"
+    }
+    done, active = set(), []
+
+    def visit(name):
+        if name in active:
+            cycle = active[active.index(name):] + [name]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if name in done:
+            return
+        active.append(name)
+        for dep in sorted(graph.get(name, ())):
+            if dep != "__init__":
+                visit(dep)
+        active.pop()
+        done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
+
+
+def test_no_package_import_inside_a_function():
+    found = [
+        f"{module}.{fn}: line {node.lineno}"
+        for module, tree in _trees().items()
+        for fn, node in _imports_inside_functions(tree)
+        if _package_targets(node)
+    ]
+    assert found == []
+
+
+def test_every_private_function_is_used():
+    trees = _trees()
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unused == []
