@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .connection import (  # the Jordan-data algebra is re-exported from here
+from .connection import (  # dim_fixed and pushforward_monodromy: re-exported
     RegularPart,
     dim_centralizer,
     dim_fixed,
