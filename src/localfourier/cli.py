@@ -238,6 +238,18 @@ def _add_json(sp):
     sp.add_argument("--json", action="store_true", help="emit JSON")
 
 
+def _window(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 4:
+        raise argparse.ArgumentTypeError(
+            f"working window must be an integer of at least 4, got {text!r}"
+        )
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localfourier",
@@ -254,9 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", default=None, help="finite point for kind sinf")
     sp.add_argument(
         "--precision",
-        type=int,
+        type=_window,
         default=None,
-        help="working window for truncated series",
+        help="working window for truncated series (at least 4)",
     )
     _add_json(sp)
     sp.set_defaults(func=_cmd_fourier)

@@ -15,6 +15,11 @@ x^m = gamma.  Radicals are kept in multiplicative normal form:
 Equality is decidable within one tower of such generators; nesting depth is
 capped at MAX_TOWER_DEPTH.  All arithmetic is exact; nothing here touches
 floating point.
+
+Sort keys, rationality tests and printed coefficients use the minimal field
+Q(zeta_d) holding a value.  It is read off the power-basis coordinates one
+prime of N at a time, with no linear solve and no cache keyed by values;
+the only caches here are keyed by a cyclotomic order.
 """
 
 from __future__ import annotations
@@ -223,62 +228,43 @@ def _cyc_inv(a: _Cyc) -> _Cyc:
     return _Cyc(a.n, _cyc_reduce(a.n, dense + [_ZERO] * max(0, a.n - len(dense))))
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    # exact Gaussian elimination; returns one solution of M x = rhs or None
-    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols]:
-            return None
-    x = [_ZERO] * cols
-    for pr, pc in pivots:
-        x[pc] = m[pr][cols]
-    return x
-
-
-@lru_cache(maxsize=None)
-def _subfield_basis(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    # coordinates in Q(zeta_n) of the basis zeta_d^j, j < phi(d)
-    out = []
-    for j in range(_euler_phi(d)):
-        out.append(_cyc_lift(_Cyc.from_powers(d, {j: _ONE}), n).c)
-    return tuple(out)
-
-
 def _cyc_contract(a: _Cyc) -> _Cyc:
-    # minimal d | n with a in Q(zeta_d); unique coordinates there
+    # minimal d | n with a in Q(zeta_d); unique coordinates there.  The fields
+    # holding a are the Q(zeta_d) with d0 | d, so dropping each prime of n
+    # for as long as the coordinates allow it reaches d0 in one pass.
     if a.is_zero():
         return _CYC_ZERO
-    d, c = _cyc_contract_cached(a.n, a.c)
-    return _Cyc(d, c)
+    n, c = a.n, a.c
+    for ell in _factorize(n):
+        while n % ell == 0:
+            down = _cyc_drop_prime(n, ell, c)
+            if down is None:
+                break
+            n, c = n // ell, down
+    return _Cyc(n, c)
 
 
-@lru_cache(maxsize=None)
-def _cyc_contract_cached(n: int, coords: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
-    for d in _divisors(n):
-        basis = _subfield_basis(n, d)
-        matrix = [[basis[j][i] for j in range(len(basis))] for i in range(len(coords))]
-        sol = _solve_linear(matrix, list(coords))
-        if sol is not None:
-            return d, tuple(sol)
-    raise InternalError("contraction failed to find the ambient field")
+def _cyc_drop_prime(n: int, ell: int, c: tuple[Fraction, ...]) -> Optional[tuple[Fraction, ...]]:
+    # coordinates in Q(zeta_m), m = n / ell, of the value c of Q(zeta_n), or None
+    m = n // ell
+    if m % ell == 0:
+        # Phi_n(x) = Phi_m(x^ell): Q(zeta_m) is spanned by the powers of zeta_n^ell
+        if any(v for j, v in enumerate(c) if j % ell):
+            return None
+        return c[::ell]
+    # zeta_n^j = zeta_m^b zeta_ell^r with j = ell b + m r (mod n), so the value
+    # is sum_r A_r zeta_ell^r with parts A_r in Q(zeta_m).  Over Q(zeta_m) the
+    # zeta_ell^r, r < ell - 1, are a basis and zeta_ell^(ell-1) is minus their
+    # sum: the value lies in Q(zeta_m) iff A_1 = ... = A_(ell-1), as A_0 - A_(ell-1)
+    inv_ell, inv_m = pow(ell, -1, m), pow(m, -1, ell)
+    groups = [[_ZERO] * m for _ in range(ell)]
+    for j, v in enumerate(c):
+        if v:
+            groups[j * inv_m % ell][j * inv_ell % m] += v
+    parts = [_cyc_reduce(m, g) for g in groups]
+    if any(part != parts[-1] for part in parts[1:-1]):
+        return None
+    return tuple(x - y for x, y in zip(parts[0], parts[-1]))
 
 
 # --------------------------------------------------------------------------
@@ -456,13 +442,14 @@ class FieldElement:
             raise DomainError("only integer powers of scalars are defined")
         if n < 0:
             return self._invert() ** (-n)
-        out, base = ONE, self
-        while n:
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return ONE if out is None else out
+            base = base * base
 
     def __eq__(self, other):
         try:
@@ -489,11 +476,7 @@ class FieldElement:
             new_mono = {}
             for key, e in mono:
                 # g^-e = g^(1-e) / g^1; the overflow divides out as gamma
-                if key[0] == "p":
-                    inv_extra = inv_extra * Fraction(1, key[1])
-                else:
-                    gen = _OPAQUE_REGISTRY_BY_SERIAL[key[1]]
-                    inv_extra = inv_extra * gen.gamma._invert()
+                inv_extra = inv_extra * _gen_carry(key, -1)
                 rem = 1 - e
                 if rem:
                     new_mono[key] = rem
@@ -515,7 +498,7 @@ class FieldElement:
             nxt = []
             for mono in frontier:
                 for g in gens:
-                    prod = _mono_mul_vec(mono, g)
+                    prod, _ = _mono_mul(mono, g)
                     if prod not in seen:
                         seen.add(prod)
                         nxt.append(prod)
@@ -569,37 +552,37 @@ def _mono_key(mono: _Monomial) -> tuple:
     return tuple(sorted((key, e) for key, e in mono))
 
 
-def _mono_mul_vec(a: _Monomial, b: _Monomial) -> _Monomial:
-    # exponent vectors mod 1, dropping the overflow (used for span closure)
+def _mono_mul(a: _Monomial, b: _Monomial) -> tuple[_Monomial, list]:
+    # exponent vectors added mod 1; also returns the carries (key, integer)
     exps: dict = dict(a)
+    carries = []
     for key, e in b:
-        total = exps.get(key, _ZERO) + e
-        total = total - int(total)
-        if total:
-            exps[key] = total
-        elif key in exps:
-            del exps[key]
-    return frozenset(exps.items())
-
-
-def _mul_monomials(m1: _Monomial, c1: _Cyc, m2: _Monomial, c2: _Cyc) -> FieldElement:
-    exps: dict = dict(m1)
-    overflow = None
-    for key, e in m2:
         total = exps.get(key, _ZERO) + e
         carry = int(total)
         total -= carry
         if carry:
-            if key[0] == "p":
-                extra = FieldElement.from_any(Fraction(key[1]) ** carry)
-            else:
-                extra = _OPAQUE_REGISTRY_BY_SERIAL[key[1]].gamma ** carry
-            overflow = extra if overflow is None else overflow * extra
+            carries.append((key, carry))
         if total:
             exps[key] = total
         elif key in exps:
             del exps[key]
-    base = FieldElement({frozenset(exps.items()): _cyc_mul(c1, c2)})
+    return frozenset(exps.items()), carries
+
+
+def _gen_carry(key, k: int) -> FieldElement:
+    # an integer power k of the generator's exponent-1 value: p^k or gamma^k
+    if key[0] == "p":
+        return rational(Fraction(key[1]) ** k)
+    return _OPAQUE_REGISTRY_BY_SERIAL[key[1]].gamma ** k
+
+
+def _mul_monomials(m1: _Monomial, c1: _Cyc, m2: _Monomial, c2: _Cyc) -> FieldElement:
+    mono, carries = _mono_mul(m1, m2)
+    overflow = None
+    for key, k in carries:
+        extra = _gen_carry(key, k)
+        overflow = extra if overflow is None else overflow * extra
+    base = FieldElement({mono: _cyc_mul(c1, c2)})
     return base if overflow is None else base * overflow
 
 
@@ -689,12 +672,7 @@ def adjoin_root(gamma: Union[FieldElement, int, Fraction], m: int) -> FieldEleme
 def _gen_power(key, e: Fraction) -> FieldElement:
     carry = int(e)
     e = e - carry
-    extra = ONE
-    if carry:
-        if key[0] == "p":
-            extra = rational(Fraction(key[1]) ** carry)
-        else:
-            extra = _OPAQUE_REGISTRY_BY_SERIAL[key[1]].gamma ** carry
+    extra = _gen_carry(key, carry) if carry else ONE
     if not e:
         return extra
     return FieldElement({frozenset({(key, e)}): _CYC_ONE}) * extra

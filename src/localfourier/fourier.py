@@ -161,11 +161,12 @@ def _transform(
     rho_hat = row.rho_hat(rho, drho, dphi)
     if sgn == row.negated_for:
         rho_hat = -rho_hat
+    rho_hat = RationalMap(rho_hat.num.with_var(row.var), rho_hat.den.with_var(row.var))
     w = working_window(row.p_hat(el), el.q) if window is None else window
     corr = (rho * drho.reciprocal()).mul_series(dphi).expand(window=w)
     phi_hat = (el.phi + (corr if row.corr_sign > 0 else -corr)).principal_part()
     return ElementaryConnection(
-        rho_hat.expand(window=w).with_var(row.var),
+        rho_hat.expand(window=w),
         phi_hat.with_var(row.var),
         _monodromy_twist(el.reg, el.q),
         rho_source=rho_hat,

@@ -9,8 +9,9 @@ extraction of a polar part) raise PrecisionError instead of guessing.
 
 Operations that turn an exact input into a genuinely infinite expansion
 (inverse of a non-monomial, fractional roots, reversion) truncate at a
-working window.  The window is chosen by the caller through the ``window``
-argument or globally through set_window_override; see working_window.
+working window.  The caller chooses it through the ``window`` argument;
+without one the default of working_window(0, 0) applies.  Both operands of
+arithmetic must share one variable.
 """
 
 from __future__ import annotations
@@ -24,28 +25,10 @@ from .exactfield import ONE, ZERO, FieldElement, adjoin_root
 
 Scalar = Union[FieldElement, int, Fraction]
 
-_WINDOW_OVERRIDE: Optional[int] = None
-
-
-def set_window_override(n: Optional[int]) -> None:
-    """Force every working window to n coefficients (None restores defaults)."""
-    global _WINDOW_OVERRIDE
-    if n is not None and n < 4:
-        raise DomainError("working window must be at least 4 coefficients")
-    _WINDOW_OVERRIDE = n
-
 
 def working_window(p: int, q: int) -> int:
     """Relative coefficient budget for computations at ramification p, pole q."""
-    if _WINDOW_OVERRIDE is not None:
-        return _WINDOW_OVERRIDE
     return max(2 * (p + q) + 8, 16)
-
-
-def _resolve_window(window: Optional[int]) -> int:
-    if window is not None:
-        return window
-    return working_window(0, 0)
 
 
 class LaurentSeries:
@@ -250,14 +233,14 @@ class LaurentSeries:
             raise DomainError("series powers must be integers")
         if n < 0:
             return self.inverse(window=window) ** (-n)
-        out = LaurentSeries.one(self.var)
-        base = self
-        while n:
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return LaurentSeries.one(self.var) if out is None else out
+            base = base * base
 
     def derivative(self) -> "LaurentSeries":
         table = {
@@ -324,7 +307,7 @@ class LaurentSeries:
         if self.prec is not None:
             rel = self.prec - v
         else:
-            rel = _resolve_window(window)
+            rel = working_window(0, 0) if window is None else window
             h = h.truncate(rel)
 
         def powers():
@@ -366,7 +349,8 @@ class LaurentSeries:
         if self.is_zero_to_precision() or self.valuation() != 1:
             raise DomainError("reversion requires valuation exactly 1")
         a1 = self.coeffs[1]
-        target = self.prec if self.prec is not None else 1 + _resolve_window(window)
+        rel = working_window(0, 0) if window is None else window
+        target = self.prec if self.prec is not None else 1 + rel
         fpoly = LaurentSeries(self.coeffs, None, self.var)
         dpoly = fpoly.derivative()
         u = LaurentSeries.identity(self.var)
@@ -401,6 +385,8 @@ class LaurentSeries:
 
 def _coerce(x, var: str) -> LaurentSeries:
     if isinstance(x, LaurentSeries):
+        if x.var != var:
+            raise DomainError(f"series in {x.var} and in {var} do not combine")
         return x
     if isinstance(x, (int, Fraction, FieldElement)):
         fe = x if isinstance(x, FieldElement) else FieldElement.from_any(x)

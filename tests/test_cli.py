@@ -235,6 +235,18 @@ def test_fourier_precision_sets_the_truncation(run):
     assert tails == ["9", "12"]
 
 
+def test_fourier_precision_floor(run):
+    source = "El(rho=u, phi=1/1*u^-2 + 1/1*u^-1, R=[(1:1)])"
+    for n in ("0", "-3", "3"):
+        code, out, err = run(
+            ["fourier", "--kind", "0inf", "--precision", n, "-"], stdin=source
+        )
+        assert code == 2 and out == "", n
+        assert "--precision" in err and "at least 4" in err, n
+    code, _, _ = run(["fourier", "--kind", "0inf", "--precision", "4", "-"], stdin=source)
+    assert code == 0
+
+
 def test_corpus_malformed_exit_2(run):
     for path in sorted((CORPUS / "malformed").glob("*.conn")):
         code, _, err = run(["canon", str(path)])

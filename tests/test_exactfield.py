@@ -13,6 +13,10 @@ from localfourier.exactfield import (
     ONE,
     ZERO,
     FieldElement,
+    _Cyc,
+    _cyc_contract,
+    _cyc_lift,
+    _euler_phi,
     adjoin_root,
     exp2pi,
     rational,
@@ -257,3 +261,69 @@ def test_zeta_monomial_round_trip(n, k, r):
     assert got is not None
     r2, n2, k2 = got
     assert rational(r2) * zeta(n2, k2) == value
+
+
+# -- contraction against a reference solver ---------------------------------
+
+
+def _solve(matrix, rhs):
+    # exact Gaussian elimination; one solution of matrix x = rhs, or None
+    rows, cols = len(matrix), len(matrix[0])
+    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    pivots, r = [], 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+        pivots.append((r, c))
+        r += 1
+    if any(m[i][cols] for i in range(r, rows)):
+        return None
+    x = [Fraction(0)] * cols
+    for pr, pc in pivots:
+        x[pc] = m[pr][cols]
+    return x
+
+
+def _reference_contract(a):
+    # the first divisor d of n whose basis zeta_d^j, j < phi(d), spans a
+    for d in range(1, a.n + 1):
+        if a.n % d:
+            continue
+        basis = [_cyc_lift(_Cyc.from_powers(d, {j: 1}), a.n).c for j in range(_euler_phi(d))]
+        sol = _solve([[b[i] for b in basis] for i in range(len(a.c))], list(a.c))
+        if sol is not None:
+            return d, tuple(sol)
+    raise AssertionError("no subfield spans the value")
+
+
+# square factors (4, 8, 9, 12, ...), 2 || n (6, 10, 30, ...) and primes
+_CONTRACT_ORDERS = (1, 2, 3, 4, 6, 8, 9, 10, 12, 15, 18, 20, 24, 25, 27, 30, 36,
+                    40, 45, 49, 50, 60, 63, 72, 84, 90, 98, 105, 108, 112, 120)
+
+
+@st.composite
+def _lifted(draw):
+    # an element of Q(zeta_d), written in Q(zeta_n) for a multiple n of d
+    n = draw(st.sampled_from(_CONTRACT_ORDERS))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    powers = draw(st.dictionaries(st.integers(0, d - 1), _small_fraction, max_size=4))
+    return _cyc_lift(_Cyc.from_powers(d, powers), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lifted())
+def test_contraction_matches_the_reference_solver(a):
+    got = _cyc_contract(a)
+    if a.is_zero():
+        assert got.is_zero()
+        return
+    assert (got.n, got.c) == _reference_contract(a)
+    assert _cyc_lift(got, a.n).c == a.c

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from localfourier.errors import DomainError, PrecisionError
 from localfourier.exactfield import ONE, rational, zeta
-from localfourier.series import LaurentSeries, set_window_override, working_window
+from localfourier.series import LaurentSeries, working_window
 
 S = LaurentSeries
 
@@ -18,13 +18,20 @@ S = LaurentSeries
 def test_working_window():
     assert working_window(0, 0) == 16
     assert working_window(4, 6) == 28
-    set_window_override(20)
-    try:
-        assert working_window(4, 6) == 20
-    finally:
-        set_window_override(None)
-    with pytest.raises(DomainError):
-        set_window_override(2)
+
+
+def test_operands_must_share_a_variable():
+    f = S({-1: 1, 0: 2}, var="u")
+    g = S({-1: 3}, var="theta")
+    for op in (
+        lambda: f + g,
+        lambda: f - g,
+        lambda: f * g,
+        lambda: f / g,
+    ):
+        with pytest.raises(DomainError):
+            op()
+    assert (f + 1).var == "u"
 
 
 def test_monomial_inverse_is_exact():
