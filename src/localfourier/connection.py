@@ -153,8 +153,9 @@ class ElementaryConnection:
     """El(rho, phi, R): the basic building block of the classification.
 
     rho is a series of valuation p >= 1 with no constant term; phi is kept
-    as its polar part only (the class depends on nothing else); R carries
-    the regular data.  p, q, r are cached on construction.  A transform
+    as its polar part only (the class depends on nothing else), written in
+    the variable of rho, so one connection never mixes two variables; R
+    carries the regular data.  p, q, r are cached on construction.  A transform
     output also keeps rho_source, the exact fraction its truncated rho was
     expanded from; it feeds later transforms and never enters comparisons.
     """
@@ -169,6 +170,8 @@ class ElementaryConnection:
         if not rho.coefficient(0).is_zero():
             raise DomainError("ramification maps fix the origin (no constant term)")
         phi = phi.principal_part()
+        if phi.var != rho.var:
+            phi = phi.with_var(rho.var)
         self.rho = rho
         self.phi = phi
         self.reg = reg

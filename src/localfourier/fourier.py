@@ -167,7 +167,7 @@ def _transform(
     phi_hat = (el.phi + (corr if row.corr_sign > 0 else -corr)).principal_part()
     return ElementaryConnection(
         rho_hat.expand(window=w),
-        phi_hat.with_var(row.var),
+        phi_hat,
         _monodromy_twist(el.reg, el.q),
         rho_source=rho_hat,
     )

@@ -32,6 +32,7 @@ from localfourier.fourier import (
     stationary_phase_at_infinity,
 )
 from localfourier.series import LaurentSeries
+from localfourier.structure import tensor
 
 S = LaurentSeries
 
@@ -197,6 +198,27 @@ def test_transform_commutes_with_normalization():
     direct = fourier_0_inf(el, "-")
     pre = fourier_0_inf(normalize_ramification(el), "-")
     assert is_isomorphic(FormalConnection([direct]), FormalConnection([pre]))
+
+
+def test_transforms_accept_what_the_library_builds():
+    # tensor writes rho in w and canonicalize reparametrizes into u; every
+    # summand keeps phi in the variable of its rho, so it transforms again
+    a = El(S.identity(), S({-1: 1}))
+    b = El(S.monomial(2, var="w"), S({-3: 5}, var="w"))
+    for el in tensor(a, b):
+        assert el.phi.var == el.rho.var
+        out = fourier_0_inf(el, "-")
+        assert (out.p, out.q) == (el.p + el.q, el.q)
+    (el,) = canonicalize(fourier_inf_inf(El(S.identity(), S({-2: 1})), "+"))
+    assert el.p == 1 and el.phi.var == el.rho.var
+    out = fourier_0_inf(el, "-")
+    assert out == fourier_0_inf(El(S.identity(), S(el.phi.coeffs)), "-")
+
+
+def test_phi_takes_the_variable_of_rho():
+    el = El(S.identity(var="t"), S({-2: 1}, var="theta"))
+    assert el.phi.var == "t"
+    assert el.phi == S({-2: 1}, var="t")
 
 
 # ------------------------------------------------------------ regular germs
