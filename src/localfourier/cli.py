@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import dsl
 from .connection import canonicalize, is_isomorphic
@@ -250,7 +251,9 @@ def _window(text: str) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args returns a fresh namespace each call
     parser = argparse.ArgumentParser(
         prog="localfourier",
         description="Local Fourier-Laplace transforms of formal connections.",
@@ -326,8 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as e:

@@ -16,17 +16,21 @@ Equality is decidable within one tower of such generators; nesting depth is
 capped at MAX_TOWER_DEPTH.  All arithmetic is exact; nothing here touches
 floating point.
 
-Sort keys, rationality tests and printed coefficients use the minimal field
-Q(zeta_d) holding a value.  It is read off the power-basis coordinates one
-prime of N at a time, with no linear solve and no cache keyed by values;
-the only caches here are keyed by a cyclotomic order.
+Values of Q(zeta_N) are power-basis coordinates of length phi(N).  A table
+per order N, built once with integer entries, holds the coordinates of each
+zeta_N^k, k < N, so reduction is a sum of table rows; an inverse is the
+product of the other Galois conjugates over the rational norm.  Sort keys,
+rationality tests and printed coefficients use the minimal field Q(zeta_d)
+holding a value, read off the coordinates one prime of N at a time with no
+linear solve; the only caches here are keyed by a cyclotomic order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 from typing import Optional, Union
 
 from .errors import DomainError, FieldError, InternalError, TowerDepthError
@@ -64,12 +68,6 @@ def _euler_phi(n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _divisors(n: int) -> tuple[int, ...]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return tuple(out)
-
-
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
@@ -81,64 +79,41 @@ def _reduce_unit(n: int, k: int) -> tuple[int, int]:
     return n // g, k // g
 
 
-# --------------------------------------------------------------------------
-# dense polynomial helpers over Fraction, used only for cyclotomic reduction
-
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    # b must be nonzero; returns (quotient, remainder)
-    a = list(a)
-    b = _poly_trim(list(b))
-    if not b:
-        raise InternalError("polynomial division by zero")
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] * inv
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            a[shift + i] -= coef * bi
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
 @lru_cache(maxsize=None)
-def _cyclotomic_poly(n: int) -> tuple[Fraction, ...]:
-    # Phi_n via (x^n - 1) / prod_{d | n, d < n} Phi_d
-    num = [_ZERO] * (n + 1)
-    num[0], num[n] = Fraction(-1), _ONE
-    den: list[Fraction] = [_ONE]
-    for d in _divisors(n)[:-1]:
-        den = _poly_mul(den, list(_cyclotomic_poly(d)))
-    q, r = _poly_divmod(num, den)
-    if r:
-        raise InternalError("cyclotomic polynomial division left a remainder")
-    return tuple(q)
+def _zeta_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # row k < n: the sparse integer coordinates (i, t) of zeta_n^k in the
+    # basis zeta_n^i, i < phi(n).  Phi_n = prod_{e | rad(n)} (x^(n/e) - 1)^mu(e),
+    # with every factor multiplied in before the exact divisions.
+    primes = list(_factorize(n))
+    steps = sorted(
+        (len(sub) % 2, n // prod(sub))
+        for size in range(len(primes) + 1)
+        for sub in combinations(primes, size)
+    )
+    poly = [1]
+    for divide, d in steps:
+        if divide:
+            # a = q (x^d - 1) gives q[k - d] = a[k] + q[k], from the top down
+            for k in range(len(poly) - 1, d - 1, -1):
+                poly[k - d] += poly[k]
+            poly = poly[d:]
+        else:
+            poly = [0] * d + poly
+            for k in range(len(poly) - d):
+                poly[k] -= poly[k + d]
+    phi = len(poly) - 1
+    rows = [((k, 1),) for k in range(phi)]
+    top = [0] * (phi - 1) + [1]
+    for _ in range(phi, n):
+        # x^k = x * x^(k-1), and x^phi = x^phi - Phi_n(x)
+        lead, top = top[-1], [0] + top[:-1]
+        top = [t - lead * c for t, c in zip(top, poly)]
+        rows.append(tuple((i, t) for i, t in enumerate(top) if t))
+    return tuple(rows)
 
 
 # --------------------------------------------------------------------------
-# the cyclotomic layer: polynomials in zeta_n reduced mod Phi_n
+# the cyclotomic layer: values of Q(zeta_n) in the power basis
 
 class _Cyc:
     """A value of Q(zeta_n), stored as reduced coordinates of length phi(n)."""
@@ -156,20 +131,21 @@ class _Cyc:
     @staticmethod
     def from_powers(n: int, powers: dict[int, Fraction]) -> "_Cyc":
         # dict exponent -> coefficient, exponents arbitrary integers
-        dense = [_ZERO] * n
-        for k, v in powers.items():
-            dense[k % n] += v
-        return _Cyc(n, _cyc_reduce(n, dense))
+        return _Cyc(n, _cyc_reduce(n, powers.items()))
 
     def is_zero(self) -> bool:
         return not any(self.c)
 
 
-def _cyc_reduce(n: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
-    phi = _euler_phi(n)
-    _, r = _poly_divmod(dense, list(_cyclotomic_poly(n)))
-    r = r + [_ZERO] * (phi - len(r))
-    return tuple(r[:phi])
+def _cyc_reduce(n: int, pairs) -> tuple[Fraction, ...]:
+    # coordinates of sum v zeta_n^k over the (k, v) pairs, k any integer
+    table = _zeta_powers(n)
+    out = [_ZERO] * _euler_phi(n)
+    for k, v in pairs:
+        if v:
+            for i, t in table[k % n]:
+                out[i] += v * t
+    return tuple(out)
 
 
 _CYC_ZERO = _Cyc(1, (_ZERO,))
@@ -183,8 +159,7 @@ def _cyc_lift(a: _Cyc, n: int) -> _Cyc:
     if n % a.n:
         raise InternalError("lift target order must be a multiple")
     step = n // a.n
-    powers = {i * step: v for i, v in enumerate(a.c) if v}
-    return _Cyc.from_powers(n, powers)
+    return _Cyc(n, _cyc_reduce(n, ((i * step, v) for i, v in enumerate(a.c))))
 
 
 def _cyc_pair(a: _Cyc, b: _Cyc) -> tuple[_Cyc, _Cyc, int]:
@@ -205,27 +180,29 @@ def _cyc_mul(a: _Cyc, b: _Cyc) -> _Cyc:
     if a.is_zero() or b.is_zero():
         return _CYC_ZERO
     a, b, n = _cyc_pair(a, b)
-    prod = _poly_mul(list(a.c), list(b.c))
-    return _Cyc(n, _cyc_reduce(n, prod + [_ZERO] * max(0, n - len(prod))))
+    dense = [_ZERO] * (2 * len(a.c) - 1)
+    for i, x in enumerate(a.c):
+        if x:
+            for j, y in enumerate(b.c):
+                if y:
+                    dense[i + j] += x * y
+    return _Cyc(n, _cyc_reduce(n, enumerate(dense)))
 
 
 def _cyc_inv(a: _Cyc) -> _Cyc:
+    # 1/a = conj / (a * conj), conj the product of the conjugates sigma_k(a),
+    # k a unit other than 1 mod n, so that a * conj is the rational norm
     if a.is_zero():
         raise DomainError("division by zero in the coefficient field")
-    # extended Euclid in Q[x] against Phi_n
-    r0, r1 = list(_cyclotomic_poly(a.n)), _poly_trim(list(a.c))
-    s0, s1 = [], [_ONE]
-    while _poly_trim(list(r1)):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        qs = _poly_mul(q, s1)
-        news = [x - y for x, y in zip(s0 + [_ZERO] * len(qs), qs + [_ZERO] * len(s0))]
-        s0, s1 = s1, _poly_trim(news)
-    if len(r0) != 1:
-        raise InternalError("cyclotomic polynomial not coprime with element")
-    inv_lead = 1 / r0[0]
-    dense = [x * inv_lead for x in s0]
-    return _Cyc(a.n, _cyc_reduce(a.n, dense + [_ZERO] * max(0, a.n - len(dense))))
+    a = _cyc_contract(a)
+    n = a.n
+    conj = _CYC_ONE
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            sigma = _Cyc(n, _cyc_reduce(n, ((j * k, v) for j, v in enumerate(a.c))))
+            conj = _cyc_mul(conj, sigma)
+    norm = _cyc_mul(a, conj).c[0]
+    return _Cyc(conj.n, tuple(x / norm for x in conj.c))
 
 
 def _cyc_contract(a: _Cyc) -> _Cyc:
@@ -257,10 +234,9 @@ def _cyc_drop_prime(n: int, ell: int, c: tuple[Fraction, ...]) -> Optional[tuple
     # zeta_ell^r, r < ell - 1, are a basis and zeta_ell^(ell-1) is minus their
     # sum: the value lies in Q(zeta_m) iff A_1 = ... = A_(ell-1), as A_0 - A_(ell-1)
     inv_ell, inv_m = pow(ell, -1, m), pow(m, -1, ell)
-    groups = [[_ZERO] * m for _ in range(ell)]
+    groups = [[] for _ in range(ell)]
     for j, v in enumerate(c):
-        if v:
-            groups[j * inv_m % ell][j * inv_ell % m] += v
+        groups[j * inv_m % ell].append((j * inv_ell, v))
     parts = [_cyc_reduce(m, g) for g in groups]
     if any(part != parts[-1] for part in parts[1:-1]):
         return None
@@ -482,8 +458,6 @@ class FieldElement:
                     new_mono[key] = rem
             base = FieldElement({frozenset(new_mono.items()): _cyc_inv(cyc)})
             return base * inv_extra
-        if not self.has_radicals():
-            return FieldElement({_TRIVIAL_MONO: _cyc_inv(self._terms[_TRIVIAL_MONO])})
         return self._invert_radical_sum()
 
     def _invert_radical_sum(self) -> "FieldElement":

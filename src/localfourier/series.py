@@ -208,8 +208,6 @@ class LaurentSeries:
             pa = self.prec if self.prec is not None else inf
             pb = other.prec if other.prec is not None else inf
             prec = min(va + pb, vb + pa)
-            if prec == inf:
-                prec = None
         table: dict[int, FieldElement] = {}
         for ka, va_ in self.coeffs.items():
             for kb, vb_ in other.coeffs.items():
@@ -228,11 +226,11 @@ class LaurentSeries:
     def __rtruediv__(self, other):
         return _coerce(other, self.var) * self.inverse()
 
-    def __pow__(self, n: int, window: Optional[int] = None):
+    def __pow__(self, n: int):
         if not isinstance(n, int):
             raise DomainError("series powers must be integers")
         if n < 0:
-            return self.inverse(window=window) ** (-n)
+            return self.inverse() ** (-n)
         out, base = None, self
         while True:
             if n & 1:
@@ -316,8 +314,6 @@ class LaurentSeries:
             k = 1
             while k * hv < rel:
                 power = (power * h).truncate(rel)
-                if power.is_zero_to_precision() and power.prec is None:
-                    return
                 yield k, power
                 k += 1
 

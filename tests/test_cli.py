@@ -235,6 +235,19 @@ def test_fourier_precision_sets_the_truncation(run):
     assert tails == ["9", "12"]
 
 
+def test_precision_does_not_carry_over_to_the_next_call(run):
+    # main reuses one parser per process; no value may stay behind in it
+    source = "El(rho=u, phi=1/1*u^-2 + 1/1*u^-1, R=[(1:1)])"
+    plain = ["fourier", "--kind", "0inf", "-"]
+    cli._build_parser.cache_clear()
+    alone = run(plain, stdin=source)
+    narrow = run(["fourier", "--kind", "0inf", "--precision", "6", "-"], stdin=source)
+    after = run(plain, stdin=source)
+    assert alone[0] == 0 and narrow[0] == 0
+    assert narrow[1] != alone[1]
+    assert after == alone
+
+
 def test_fourier_precision_floor(run):
     source = "El(rho=u, phi=1/1*u^-2 + 1/1*u^-1, R=[(1:1)])"
     for n in ("0", "-3", "3"):

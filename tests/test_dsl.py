@@ -174,6 +174,34 @@ def test_scalar_rendering():
     )
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: parse_scalar_text("root(2+zeta(3),2)"), "root(2 + zeta(3),2)"),
+        (
+            lambda: ONE / (ONE + parse_scalar_text("root(2+zeta(3),2)")),
+            "zeta(3) - zeta(3)*root(2 + zeta(3),2)",
+        ),
+        (lambda: parse_scalar_text("root(root(2,2),2)"), "root(2,4)"),
+    ],
+)
+def test_opaque_and_nested_roots_render_and_parse_back(build, text):
+    # 2 + zeta(3) is no root of unity times a rational: an opaque generator
+    value = build()
+    assert render_scalar(value) == text
+    assert parse_scalar_text(text) == value
+
+
+def test_nested_root_is_a_prime_radical():
+    assert parse_scalar_text("root(root(2,2),2)") ** 4 == 2
+
+
+def test_opaque_residue_is_a_canonical_fixed_point():
+    text = print_canonical(parse("El(rho=u, phi=1/1*u^-1, R=[(root(2+zeta(3),2):1)])"))
+    assert "root(2 + zeta(3),2)" in text
+    assert print_canonical(parse(text)) == text
+
+
 def test_series_rendering():
     s = LaurentSeries({-1: 1, 2: rational(Fraction(-2, 3))})
     assert render_series(s) == "u^-1 - 2/3*u^2"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,11 @@ from localfourier.exactfield import (
     FieldElement,
     _Cyc,
     _cyc_contract,
+    _cyc_inv,
     _cyc_lift,
+    _cyc_mul,
     _euler_phi,
+    _zeta_powers,
     adjoin_root,
     exp2pi,
     rational,
@@ -327,3 +331,144 @@ def test_contraction_matches_the_reference_solver(a):
         return
     assert (got.n, got.c) == _reference_contract(a)
     assert _cyc_lift(got, a.n).c == a.c
+
+
+# -- the table of zeta powers against long division and Euclid --------------
+# The reference is the polynomial arithmetic the table replaced: dense
+# polynomials over Fraction, reduced by long division by Phi_n, and inverted
+# by the extended Euclidean algorithm against Phi_n.
+
+
+def _poly_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _poly_trim(out)
+
+
+def _poly_divmod(a, b):
+    a, b = list(a), _poly_trim(list(b))
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        coef = a[-1] / b[-1]
+        q[shift] = coef
+        for i, bi in enumerate(b):
+            a[shift + i] -= coef * bi
+        a.pop()
+    return _poly_trim(q), _poly_trim(a)
+
+
+def _reference_phi(n):
+    # Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d
+    den = [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _poly_mul(den, _reference_phi(d))
+    q, r = _poly_divmod([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)], den)
+    assert not r
+    return q
+
+
+def _reference_reduce(n, dense):
+    _, r = _poly_divmod(dense, _reference_phi(n))
+    return tuple(r + [Fraction(0)] * (_euler_phi(n) - len(r)))
+
+
+def _reference_from_powers(n, powers):
+    dense = [Fraction(0)] * n
+    for k, v in powers.items():
+        dense[k % n] += v
+    return _reference_reduce(n, dense)
+
+
+def _reference_lift(a, n):
+    return _reference_from_powers(n, {i * (n // a.n): v for i, v in enumerate(a.c)})
+
+
+def _reference_mul(a, b):
+    n = a.n * b.n // gcd(a.n, b.n)
+    prod = _poly_mul(list(_reference_lift(a, n)), list(_reference_lift(b, n)))
+    return _Cyc(n, _reference_reduce(n, prod))
+
+
+def _reference_inv(a):
+    r0, r1 = _reference_phi(a.n), _poly_trim(list(a.c))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        qs = _poly_mul(q, s1)
+        width = max(len(s0), len(qs))
+        s0, s1 = s1, _poly_trim([
+            (s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0)
+            for i in range(width)
+        ])
+    assert len(r0) == 1
+    return _Cyc(a.n, _reference_reduce(a.n, [x / r0[0] for x in s0]))
+
+
+@st.composite
+def _powers_in(draw, n):
+    return draw(st.dictionaries(st.integers(-2 * n, 2 * n), _small_fraction, max_size=5))
+
+
+@st.composite
+def _mixed_pair(draw):
+    # two values whose orders divide a common n, so their lcm stays small
+    n = draw(st.sampled_from(_CONTRACT_ORDERS))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    orders = [draw(st.sampled_from(divisors)) for _ in range(2)]
+    return n, [(d, draw(_powers_in(d))) for d in orders]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mixed_pair())
+def test_table_reduction_matches_long_division(case):
+    n, drawn = case
+    for d, powers in drawn:
+        assert _Cyc.from_powers(d, powers).c == _reference_from_powers(d, powers)
+    a, b = (_Cyc.from_powers(d, powers) for d, powers in drawn)
+    assert _cyc_lift(a, n).c == _reference_lift(a, n)
+    got, want = _cyc_mul(a, b), _reference_mul(a, b)
+    if a.is_zero() or b.is_zero():
+        assert got.is_zero() and want.is_zero()
+    else:
+        assert (got.n, got.c) == (want.n, want.c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lifted())
+def test_norm_inverse_matches_euclid(a):
+    if a.is_zero():
+        with pytest.raises(DomainError):
+            _cyc_inv(a)
+        return
+    got, want = _cyc_contract(_cyc_inv(a)), _cyc_contract(_reference_inv(a))
+    assert (got.n, got.c) == (want.n, want.c)
+    one = _cyc_contract(_cyc_mul(a, got))
+    assert (one.n, one.c) == (1, (Fraction(1),))
+
+
+def test_table_holds_the_cyclotomic_polynomial():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 151):
+        phi = _euler_phi(n)
+        # zeta_n^phi = zeta_n^phi - Phi_n(zeta_n), read as row phi mod n
+        row = dict(_zeta_powers(n)[phi % n])
+        got = [-row.get(i, 0) for i in range(phi)] + [1]
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert got == want, n

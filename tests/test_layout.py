@@ -102,3 +102,27 @@ def test_every_private_function_is_used():
         and node.name not in used
     ]
     assert unused == []
+
+
+def _is_cached(fn):
+    for dec in fn.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name in ("lru_cache", "cache"):
+            return True
+    return False
+
+
+def test_every_cache_is_keyed_by_integers():
+    # a cache keyed by values grows with every value a long-lived process sees
+    found = [
+        f"{module}.{fn.name}({arg.arg})"
+        for module, tree in _trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_cached(fn)
+        for arg in [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs,
+                    fn.args.vararg, fn.args.kwarg]
+        if arg is not None
+        and not (isinstance(arg.annotation, ast.Name) and arg.annotation.id == "int")
+    ]
+    assert found == []
