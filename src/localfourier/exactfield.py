@@ -10,7 +10,8 @@ x^m = gamma.  Radicals are kept in multiplicative normal form:
 * a root of unity zeta_N^k gets the canonical m-th root zeta_{mN}^k (N taken
   minimal, k reduced mod N);
 * only a gamma that is not a root of unity times a rational receives an
-  opaque generator, and repeated requests reuse the same generator.
+  opaque generator, identified by the value of gamma and ordered by its
+  sort key, so the same gamma gives the same generator in any process.
 
 Equality is decidable within one tower of such generators; nesting depth is
 capped at MAX_TOWER_DEPTH.  All arithmetic is exact; nothing here touches
@@ -247,33 +248,38 @@ def _cyc_drop_prime(n: int, ell: int, c: tuple[Fraction, ...]) -> Optional[tuple
 # radical generators
 
 class _OpaqueGen:
-    """A generator x with x^m interpreted as a stored non-monomial gamma."""
+    """A generator x with x^m = gamma, compared by the sort key of gamma."""
 
-    __slots__ = ("serial", "gamma", "level")
+    __slots__ = ("gamma", "level", "key", "_hash")
 
-    def __init__(self, serial: int, gamma: "FieldElement", level: int):
-        self.serial = serial
+    def __init__(self, gamma: "FieldElement", level: int):
         self.gamma = gamma
         self.level = level
+        self.key = gamma.sort_key()
+        self._hash = hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"root({self.gamma!r})"
 
 
-_OPAQUE_REGISTRY: dict[tuple, _OpaqueGen] = {}
-_OPAQUE_SERIAL = [0]
-
-# a monomial maps generator keys to exponents in (0, 1);
-# generator key: ('p', prime) for the prime radical p^e, ('x', serial) for opaque
+# a monomial maps generator keys to exponents in (0, 1); generator key:
+# ('p', prime) for the prime radical p^e, ('x', _OpaqueGen) for an opaque one
 _Monomial = frozenset
 
 _TRIVIAL_MONO: _Monomial = frozenset()
 
 
 def _gen_level(key) -> int:
-    if key[0] == "p":
-        return 1
-    return _OPAQUE_REGISTRY_BY_SERIAL[key[1]].level
-
-
-_OPAQUE_REGISTRY_BY_SERIAL: dict[int, _OpaqueGen] = {}
+    return 1 if key[0] == "p" else key[1].level
 
 
 class FieldElement:
@@ -365,8 +371,7 @@ class FieldElement:
                 if key[0] == "p":
                     factors.append(("p", key[1], e))
                 else:
-                    gen = _OPAQUE_REGISTRY_BY_SERIAL[key[1]]
-                    factors.append(("x", gen.gamma, e))
+                    factors.append(("x", key[1].gamma, e))
             yield factors, _cyc_contract(self._terms[mono])
 
     # -- arithmetic --------------------------------------------------------
@@ -547,7 +552,7 @@ def _gen_carry(key, k: int) -> FieldElement:
     # an integer power k of the generator's exponent-1 value: p^k or gamma^k
     if key[0] == "p":
         return rational(Fraction(key[1]) ** k)
-    return _OPAQUE_REGISTRY_BY_SERIAL[key[1]].gamma ** k
+    return key[1].gamma ** k
 
 
 def _mul_monomials(m1: _Monomial, c1: _Cyc, m2: _Monomial, c2: _Cyc) -> FieldElement:
@@ -610,8 +615,8 @@ def adjoin_root(gamma: Union[FieldElement, int, Fraction], m: int) -> FieldEleme
     Roots of unity go to zeta_{mN}^k, positive rationals to prime-wise
     radicals (perfect powers collapse, so adjoin_root(4, 2) == 2), and a
     product of the two splits factor by factor.  Anything else gets an
-    opaque generator x with x^m = gamma; asking again for the same gamma
-    reuses the generator.  Nesting beyond MAX_TOWER_DEPTH is an error.
+    opaque generator x with x^m = gamma, identified by the value of gamma in
+    any process and adjoin order.  Nesting beyond MAX_TOWER_DEPTH is an error.
     """
     gamma = FieldElement.from_any(gamma)
     if m < 1:
@@ -633,14 +638,7 @@ def adjoin_root(gamma: Union[FieldElement, int, Fraction], m: int) -> FieldEleme
         raise TowerDepthError(
             f"radical nesting depth {level} exceeds the cap {MAX_TOWER_DEPTH}"
         )
-    reg_key = (gamma.sort_key(),)
-    gen = _OPAQUE_REGISTRY.get(reg_key)
-    if gen is None:
-        _OPAQUE_SERIAL[0] += 1
-        gen = _OpaqueGen(_OPAQUE_SERIAL[0], gamma, level)
-        _OPAQUE_REGISTRY[reg_key] = gen
-        _OPAQUE_REGISTRY_BY_SERIAL[gen.serial] = gen
-    return _gen_power(("x", gen.serial), Fraction(1, m))
+    return _gen_power(("x", _OpaqueGen(gamma, level)), Fraction(1, m))
 
 
 def _gen_power(key, e: Fraction) -> FieldElement:

@@ -105,6 +105,8 @@ def rigidity_breakdown(data: Sequence[SingularityDatum], genus: int = 0) -> dict
     """
     if not data:
         raise DomainError("rigidity index needs at least one singular point")
+    if genus < 0:
+        raise DomainError(f"genus must be at least 0, got {genus}")
     _split_points(data)
     rows = []
     rank = None

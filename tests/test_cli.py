@@ -165,6 +165,10 @@ def test_rigidity_subcommand(run, tmp_path):
     payload = json.loads(out)
     assert payload["index"] == 2
     assert payload["rows"][2]["location"] == "infinity"
+    one = _write(tmp_path, "one.conn", "p0 = Sing(at=0, germ=[(2:1)]);\n")
+    code, out, err = run(["rigidity", "--genus", "-5", one])
+    assert code == 1 and out == ""
+    assert "genus" in err
 
 
 def test_z_zhat_subcommand(run, tmp_path):

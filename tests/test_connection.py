@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +197,37 @@ def test_canonicalize_idempotent_and_order_free():
     assert canonicalize(m1) == m1
     assert m1.rank == a.rank + b.rank + c.rank
     assert m1.irregularity == a.irregularity + b.irregularity
+
+
+_ADJOIN_THEN_CANONICALIZE = """
+import sys
+from localfourier import dsl
+from localfourier.connection import canonicalize
+from localfourier.exactfield import adjoin_root, zeta
+for n in sys.argv[1:]:
+    adjoin_root(2 + zeta(int(n)), 2)
+[conn] = dsl.parse(sys.stdin.read()).connection_list()
+print(dsl.render_connection(canonicalize(conn)))
+"""
+
+
+def test_canonical_form_does_not_depend_on_earlier_adjoins():
+    doc = (
+        "El(rho=u, phi=(root(2 + zeta(3),2))*u^-1, R=[(1:1)]) (+) "
+        "El(rho=u, phi=(root(2 + zeta(5),2))*u^-1, R=[(1:1)])"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _ADJOIN_THEN_CANONICALIZE, *order],
+            input=doc, env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        for order in (["3", "5"], ["5", "3"])
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].count("El(") == 2
 
 
 def test_canonicalize_normalizes_hidden_ramification():

@@ -3,9 +3,8 @@
 Running this file as a script prints the transcript: every call in a fixed
 order, with its exit code, stdout and stderr.  The test runs the script in
 a fresh interpreter with PYTHONHASHSEED=0 and compares the result with the
-committed ``corpus_snapshot.txt``.  A fresh process matters: canonical
-order depends on which radicals the process adjoined earlier, so the
-transcript is only reproducible from a clean start.
+committed ``corpus_snapshot.txt``, so nothing an earlier test left in the
+process can reach the transcript.
 
 Regenerate (only when an output change is intended) with
 

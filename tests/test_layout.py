@@ -126,3 +126,55 @@ def test_every_cache_is_keyed_by_integers():
         and not (isinstance(arg.annotation, ast.Name) and arg.annotation.id == "int")
     ]
     assert found == []
+
+
+
+_MUTATORS = {"append", "update", "setdefault", "add", "pop", "clear"}
+
+
+def _module_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def _written_roots(node):
+    """Names whose value the statement or call writes into."""
+    if isinstance(node, ast.Global):
+        return node.names
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        targets = [node.func.value] if node.func.attr in _MUTATORS else []
+    elif isinstance(node, (ast.Assign, ast.Delete)):
+        # a bare name target binds a local; only item and attribute stores write
+        targets = [t for t in node.targets if isinstance(t, (ast.Subscript, ast.Attribute))]
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target] if isinstance(node.target, (ast.Subscript, ast.Attribute)) else []
+    else:
+        return []
+    roots = []
+    for t in targets:
+        while isinstance(t, (ast.Subscript, ast.Attribute)):
+            t = t.value
+        if isinstance(t, ast.Name):
+            roots.append(t.id)
+    return roots
+
+
+def test_no_function_mutates_module_state():
+    # state held at module level is shared by every caller in the process,
+    # so what one computation leaves there changes the next one's answers
+    found = [
+        f"{module}.{fn.name}: line {node.lineno} ({name})"
+        for module, tree in _trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        for name in _written_roots(node)
+        if name in _module_names(tree)
+    ]
+    assert found == []

@@ -197,6 +197,8 @@ def test_rigidity_refuses_degenerate_inputs():
     a = SingularityDatum(3, germ=germ((2, 1)))
     with pytest.raises(DomainError):
         rigidity_index([a, SingularityDatum(3, germ=germ((2, 1)))])
+    with pytest.raises(DomainError, match="genus"):
+        rigidity_index([a], genus=-5)
 
 
 # -- transform pairs -------------------------------------------------------
