@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DomainError
 from .exactfield import ONE, FieldElement, adjoin_root, zeta
-from .series import LaurentSeries, working_window
+from .series import LaurentSeries
 
 JordanBlock = tuple[FieldElement, int]
 
@@ -276,32 +276,22 @@ def invariants(el: ElementaryConnection) -> Invariants:
 # --------------------------------------------------------------------------
 # normal forms
 
-def normalize_ramification(el: ElementaryConnection, window: Optional[int] = None) -> ElementaryConnection:
+def normalize_ramification(el: ElementaryConnection) -> ElementaryConnection:
     """Replace rho by the pure power u^p without changing the class.
 
-    Substitutes u = lambda(v) where lambda inverts a p-th root of rho, so
-    rho(lambda(v)) = v^p; phi transforms by composition and R is untouched.
+    Substitutes u = lambda(v) with rho(lambda(v)) = v^p; phi transforms by
+    composition and R is untouched.  For rho = c u^p (1 + h) the polar part
+    comes from Lagrange-Buermann, [v^n] phi(lambda) = (1/n) [u^(n-1)] phi'
+    (1 + h)^(-n/p) for n = -q..-1, with the powers of 1 + h from Miller's
+    recurrence (LaurentSeries.lagrange); rho must be known to relative
+    order q.  The p-th root of c then rotates only these q coefficients.
     """
     if el.is_normalized():
         return el
-    w = window if window is not None else working_window(el.p, el.q)
-    # only the polar part of the reparametrized phi survives below, and rho
-    # beyond relative order q cannot move it, so cut a long stored precision
-    # before the root and reversion expand to match it
-    bound = el.rho.valuation() + el.q + 4
-    if el.rho.prec is not None and el.rho.prec > bound:
-        el = ElementaryConnection(el.rho.truncate(bound), el.phi, el.reg)
-    # factor the leading coefficient out first: the reversion then runs in
-    # the coefficient field of rho, and the adjoined p-th root only touches
-    # the handful of surviving polar coefficients at the end
+    phi = el.phi.lagrange(el.rho, range(-el.q, 0))
     lead = el.rho.leading_coefficient()
-    root = None if lead.is_one() else adjoin_root(lead, el.p)
-    body = el.rho if root is None else el.rho.scale(ONE / lead)
-    mu = body.nth_root(el.p, window=w)
-    lam = mu.reversion(window=w)
-    phi = el.phi.compose(lam, window=w).principal_part()
-    if root is not None:
-        phi = rotate_exponential(phi, ONE / root)
+    if not lead.is_one():
+        phi = rotate_exponential(phi, ONE / adjoin_root(lead, el.p))
     return ElementaryConnection(LaurentSeries.monomial(el.p), phi, el.reg)
 
 
@@ -334,7 +324,11 @@ def reduce_minimal(el: ElementaryConnection) -> ElementaryConnection:
 
 def rotate_exponential(phi: LaurentSeries, zeta_val: FieldElement) -> LaurentSeries:
     """phi(zeta * u): scales the coefficient of u^e by zeta^e."""
-    return LaurentSeries({e: c * zeta_val ** e for e, c in phi.coeffs.items()})
+    # invert once: a negative power would invert zeta again for every e
+    inv = ONE / zeta_val if any(e < 0 for e in phi.coeffs) else None
+    return LaurentSeries(
+        {e: c * (zeta_val ** e if e >= 0 else inv ** -e) for e, c in phi.coeffs.items()}
+    )
 
 
 def pullback_decompose(el: ElementaryConnection, d: int) -> FormalConnection:

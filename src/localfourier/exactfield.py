@@ -508,12 +508,6 @@ class FieldElement:
             )
         return FieldElement({basis[j]: sol[j] for j in range(size)})
 
-    # -- roots -------------------------------------------------------------
-
-    def nth_root(self, m: int) -> "FieldElement":
-        """The canonical m-th root; may enlarge the field.  See adjoin_root."""
-        return adjoin_root(self, m)
-
     # -- ordering ----------------------------------------------------------
 
     def sort_key(self) -> tuple:

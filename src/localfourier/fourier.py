@@ -397,18 +397,15 @@ def _split_points(data: Sequence[SingularityDatum]):
     """Separate finite data from the (at most one) datum at infinity."""
     finite = []
     at_inf: Optional[SingularityDatum] = None
-    seen = set()
-    for datum in data:
+    seen = {}
+    for pos, datum in enumerate(data, start=1):
+        if datum.location in seen:  # name the clash by 1-based input positions
+            first = seen[datum.location]
+            raise DomainError(f"singularity data {first} and {pos} share one location")
+        seen[datum.location] = pos
         if datum.is_infinity():
-            if at_inf is not None:
-                raise DomainError("two singularity data at infinity")
             at_inf = datum
         else:
-            if datum.location in seen:
-                raise DomainError(
-                    f"duplicate singularity location {datum.location!r}"
-                )
-            seen.add(datum.location)
             finite.append(datum)
     return finite, at_inf
 

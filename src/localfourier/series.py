@@ -12,6 +12,10 @@ Operations that turn an exact input into a genuinely infinite expansion
 working window.  The caller chooses it through the ``window`` argument;
 without one the default of working_window(0, 0) applies.  Both operands of
 arithmetic must share one variable.
+
+One power recurrence serves them all: for f = c u^v (1 + h), Miller's
+recurrence expands (1 + h)^alpha, which gives inverse and roots directly
+and, through the Lagrange-Buermann formula, reversion and substitution.
 """
 
 from __future__ import annotations
@@ -258,17 +262,7 @@ class LaurentSeries:
         """
         if self.is_exactly_zero():
             raise DomainError("division by the zero series")
-        v = self.valuation()
-        c = self.coeffs[v]
-        lead_inv = LaurentSeries.monomial(-v, ONE / c, self.var)
-        if len(self.coeffs) == 1 and self.prec is None:
-            return lead_inv
-        # invert the unit part as a geometric series
-        rel, powers = self._unit_powers(v, c, window)
-        geom = LaurentSeries.one(self.var)
-        for k, power in powers:
-            geom = geom + (power if k % 2 == 0 else -power)
-        return lead_inv * geom.truncate(rel)
+        return self._unit_power(Fraction(-1), window)
 
     def nth_root(self, m: int, window: Optional[int] = None) -> "LaurentSeries":
         """The canonical m-th root; valuation must be divisible by m."""
@@ -278,46 +272,61 @@ class LaurentSeries:
             raise DomainError("the zero series has no root")
         v = self.valuation()
         if v % m:
-            raise DomainError(
-                f"valuation {v} is not divisible by {m}; root leaves the variable"
-            )
+            raise DomainError(f"valuation {v} is not divisible by {m}; root leaves the variable")
+        return self._unit_power(Fraction(1, m), window)
+
+    def _unit_power(self, alpha: Fraction, window: Optional[int]) -> "LaurentSeries":
+        # self^alpha = lead u^(v alpha) (1 + h)^alpha, alpha = -1 or 1/m, with
+        # lead 1/c or the canonical root of c; precision as in inverse
+        v = self.valuation()
         c = self.coeffs[v]
-        root_lead = LaurentSeries.monomial(v // m, adjoin_root(c, m), self.var)
+        lead = ONE / c if alpha < 0 else adjoin_root(c, alpha.denominator)
+        s = int(v * alpha)
         if len(self.coeffs) == 1 and self.prec is None:
-            return root_lead
-        # binomial series (1 + h)^(1/m)
-        rel, powers = self._unit_powers(v, c, window)
-        out = LaurentSeries.one(self.var)
-        coef = Fraction(1)
-        for k, power in powers:
-            coef = coef * (Fraction(1, m) - (k - 1)) / k
-            out = out + power.scale(coef)
-        return root_lead * out.truncate(rel)
+            return LaurentSeries.monomial(s, lead, self.var)
+        h, rel = self._unit_part(lead if alpha < 0 else ONE / c, window)
+        b = _miller(h, alpha, rel)
+        return LaurentSeries({s + k: lead * x for k, x in enumerate(b)}, s + rel, self.var)
 
-    def _unit_powers(self, v: int, c: FieldElement, window: Optional[int]):
-        """Write self = c u^v (1 + h); return rel and the powers (k, h^k), k >= 1.
+    def _unit_part(self, c_inv: FieldElement, window: Optional[int]):
+        """Write self = c u^v (1 + h); return the terms (j, h_j) of h and rel.
 
-        rel is the relative precision: that of an inexact input, or the
-        working window for an exact one.  Each power comes truncated at rel,
-        and the powers stop once they can no longer reach below it.
+        c_inv is 1/c.  rel is the relative precision: that of an inexact
+        input, or the window (by default working_window(0, 0)) for an exact
+        one.  h is cut below it.
         """
-        h = self.shift(-v).scale(ONE / c) - LaurentSeries.one(self.var)
+        v = self.valuation()
         if self.prec is not None:
             rel = self.prec - v
         else:
             rel = working_window(0, 0) if window is None else window
-            h = h.truncate(rel)
+        h = [(k - v, x * c_inv) for k, x in sorted(self.coeffs.items()) if v < k < v + rel]
+        return h, rel
 
-        def powers():
-            power = LaurentSeries.one(self.var)
-            hv = h._val_bound()
-            k = 1
-            while k * hv < rel:
-                power = (power * h).truncate(rel)
-                yield k, power
-                k += 1
+    def lagrange(self, rho: "LaurentSeries", exps: range) -> "LaurentSeries":
+        """The coefficients of v^n, n in exps, of self(lambda(v)), all n != 0.
 
-        return rel, powers()
+        Write rho = c u^p (1 + h); lambda is the compositional inverse of
+        u (1 + h)^(1/p), so rho(lambda(v)) = c v^p.  Lagrange-Buermann gives
+        [v^n] self(lambda) = (1/n) [u^(n-1)] self' (1 + h)^(-n/p), and Miller's
+        recurrence the powers of 1 + h, so nothing is reversed or composed.
+        self must be exact, and so is the result.  Raises PrecisionError when
+        rho is not known far enough for the largest n.
+        """
+        if not exps or self.is_exactly_zero():
+            return LaurentSeries.zero(self.var)
+        df = self.derivative()
+        dval = df.valuation()
+        need = max(exps) - dval
+        h, rel = rho._unit_part(ONE / rho.leading_coefficient(), need)
+        if rel < need:
+            raise PrecisionError(f"rho is needed to relative order {need}, not {rel}")
+        table = {}
+        for n in exps:
+            b = _miller(h, Fraction(-n, rho.valuation()), n - dval)
+            terms = [c * b[n - 1 - i] for i, c in df.coeffs.items() if i < n]
+            table[n] = sum(terms, ZERO) * Fraction(1, n)
+        return LaurentSeries(table, None, self.var)
 
     def compose(self, g: "LaurentSeries", window: Optional[int] = None) -> "LaurentSeries":
         """f(g(u)) for g of strictly positive valuation."""
@@ -341,30 +350,20 @@ class LaurentSeries:
         return out
 
     def reversion(self, window: Optional[int] = None) -> "LaurentSeries":
-        """The compositional inverse of a series of valuation exactly 1."""
+        """The compositional inverse of a series of valuation exactly 1.
+
+        By Lagrange inversion, [v^n] f^-1 = (1/n) a^-n [u^(n-1)] (1 + h)^-n
+        for f = a u (1 + h).
+        """
         if self.is_zero_to_precision() or self.valuation() != 1:
             raise DomainError("reversion requires valuation exactly 1")
-        a1 = self.coeffs[1]
+        a_inv = ONE / self.coeffs[1]
+        if len(self.coeffs) == 1 and self.prec is None:
+            return LaurentSeries.monomial(1, a_inv, self.var)
         rel = working_window(0, 0) if window is None else window
         target = self.prec if self.prec is not None else 1 + rel
-        fpoly = LaurentSeries(self.coeffs, None, self.var)
-        dpoly = fpoly.derivative()
-        u = LaurentSeries.identity(self.var)
-        g = LaurentSeries.monomial(1, ONE / a1, self.var)
-        if len(self.coeffs) == 1:
-            return g if self.prec is None else g.truncate(target)
-        cur = 2
-        while cur < target:
-            cur = min(2 * cur, target)
-            err = _compose_bounded(fpoly, g, cur + 1) - u
-            den = _compose_bounded(dpoly, g, cur)
-            step = err * den.inverse(window=cur)
-            g = LaurentSeries(
-                {k: v for k, v in (g - step).coeffs.items() if k < cur},
-                None,
-                self.var,
-            )
-        return LaurentSeries(g.coeffs, target, self.var)
+        g = LaurentSeries.identity(self.var).lagrange(self, range(1, target))
+        return LaurentSeries({n: x * a_inv ** n for n, x in g.coeffs.items()}, target, self.var)
 
     # -- display -----------------------------------------------------------
 
@@ -400,13 +399,21 @@ def _min_prec(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-def _compose_bounded(f: "LaurentSeries", g: "LaurentSeries", bound: int) -> "LaurentSeries":
-    # Horner evaluation of the polynomial f (exponents >= 0) at g, mod u^bound.
-    # Keeps every intermediate product short; only reversion needs this.
-    out = LaurentSeries.zero(g.var)
-    for e in range(max(f.coeffs, default=0), -1, -1):
-        out = (out * g).truncate(bound)
-        c = f.coeffs.get(e)
-        if c is not None:
-            out = out + LaurentSeries({0: c}, None, g.var)
-    return out
+def _miller(h: list[tuple[int, FieldElement]], alpha: Fraction, n: int) -> list[FieldElement]:
+    """The first n coefficients b_k of (1 + h)^alpha, h given by its terms (j, h_j).
+
+    J. C. P. Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7),
+    k b_k = sum_j ((alpha + 1) j - k) h_j b_(k-j), costs O(n t) scalar
+    operations for a series h of t terms, all of exponent j >= 1.
+    """
+    b = [ONE]
+    for k in range(1, n):
+        acc = ZERO
+        for j, hj in h:
+            if j > k:
+                break
+            w = ((alpha + 1) * j - k) / k
+            if w and not b[k - j].is_zero():
+                acc = acc + hj * b[k - j] * w
+        b.append(acc)
+    return b

@@ -171,6 +171,14 @@ def test_rigidity_subcommand(run, tmp_path):
     assert "genus" in err
 
 
+def test_rigidity_names_clashing_data_by_position(run, tmp_path):
+    text = "a = Sing(at=zeta(3), germ=[(2:1)]); b = Sing(at=zeta(3), germ=[(2:1)]);"
+    code, out, err = run(["rigidity", _write(tmp_path, "dup.conn", text)])
+    assert code == 1 and out == ""
+    assert "data 1 and 2" in err
+    assert "FieldElement<" not in err
+
+
 def test_z_zhat_subcommand(run, tmp_path):
     data = _write(
         tmp_path,

@@ -437,3 +437,46 @@ def test_conservation_randomized(el):
 def test_round_trip_randomized(el):
     back = fourier_inf_0(fourier_0_inf(el, "-"), "+")
     assert is_isomorphic(FormalConnection([back]), FormalConnection([el]))
+
+
+# ------------------------------------------------------ window independence
+# A transform expands rho_hat at a working window and states the precision
+# it reached.  A wider window may only add coefficients beyond that
+# precision: phi_hat, R and the canonical form must not move.
+
+_SLOPES = {
+    fourier_0_inf: lambda p, q: True,
+    fourier_inf_0: lambda p, q: q < p,
+    fourier_inf_inf: lambda p, q: q > p,
+}
+
+
+@st.composite
+def _windowed_input(draw, transform):
+    p, q = draw(
+        st.tuples(st.integers(1, 4), st.integers(1, 5)).filter(
+            lambda pq: _SLOPES[transform](*pq)
+        )
+    )
+    scalars = st.sampled_from([ONE, rational(-2), rational("1/3"), zeta(3), 1 + zeta(3)])
+    rho = {p: ONE}
+    if draw(st.booleans()):
+        rho[p + draw(st.integers(1, 3))] = draw(scalars)
+    phi = {-q: draw(scalars)}
+    if q > 1 and draw(st.booleans()):
+        phi[draw(st.integers(1 - q, -1))] = draw(scalars)
+    reg = RegularPart([(draw(st.sampled_from([1, 2, -1])), draw(st.integers(1, 2)))])
+    return El(S(rho), S(phi), reg), draw(st.integers(q, q + 8))
+
+
+@pytest.mark.parametrize("transform", list(_SLOPES), ids=["0inf", "inf0", "infinf"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_transform_is_window_independent(transform, data):
+    el, w = data.draw(_windowed_input(transform))
+    narrow = transform(el, window=w)
+    wide = transform(el, window=w + 12)
+    assert narrow.rho.agrees_to_precision(wide.rho)
+    assert narrow.phi == wide.phi
+    assert narrow.reg == wide.reg
+    assert canonicalize(narrow) == canonicalize(wide)

@@ -1,9 +1,11 @@
 """Module layout of the package, read with the standard ast module."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "localfourier"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "localfourier"
 PACKAGE = "localfourier"
 
 
@@ -178,3 +180,27 @@ def test_no_function_mutates_module_state():
         if name in _module_names(tree)
     ]
     assert found == []
+
+
+def test_every_traced_function_resolves():
+    # the traced benchmark run wraps perfbench/tracing.py's LAYERS by name;
+    # a name that no longer resolves makes its install step raise
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    [layers] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    ]
+    missing = []
+    for layer, quals in layers.items():
+        module = importlib.import_module(f"{PACKAGE}.{layer}")
+        for qual in quals:
+            owner, _, attr = qual.rpartition(".")
+            if owner:
+                found = attr in getattr(getattr(module, owner, None), "__dict__", {})
+            else:
+                found = hasattr(module, attr)
+            if not found:
+                missing.append(f"{layer}.{qual}")
+    assert missing == []
