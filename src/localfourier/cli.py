@@ -18,6 +18,7 @@ from . import dsl
 from .connection import canonicalize, is_isomorphic
 from .errors import DomainError, InternalError, ParseError
 from .fourier import (
+    INFINITY,
     fourier_0_inf,
     fourier_inf_0,
     fourier_inf_inf,
@@ -87,7 +88,7 @@ def _emit_connections(results, var: str, as_json: bool, provenance=None):
 
 
 def _location_text(location) -> str:
-    return "infinity" if repr(location) == "infinity" else dsl.render_scalar(location)
+    return "infinity" if location is INFINITY else dsl.render_scalar(location)
 
 
 # -- subcommands -----------------------------------------------------------

@@ -281,17 +281,13 @@ def normalize_ramification(el: ElementaryConnection) -> ElementaryConnection:
 
     Substitutes u = lambda(v) with rho(lambda(v)) = v^p; phi transforms by
     composition and R is untouched.  For rho = c u^p (1 + h) the polar part
-    comes from Lagrange-Buermann, [v^n] phi(lambda) = (1/n) [u^(n-1)] phi'
-    (1 + h)^(-n/p) for n = -q..-1, with the powers of 1 + h from Miller's
-    recurrence (LaurentSeries.lagrange); rho must be known to relative
-    order q.  The p-th root of c then rotates only these q coefficients.
+    comes from Lagrange-Buermann, [v^n] phi(lambda) = root^-n (1/n) [u^(n-1)]
+    phi' (1 + h)^(-n/p) for n = -q..-1 and root the p-th root of c, all in
+    LaurentSeries.lagrange; rho must be known to relative order q.
     """
     if el.is_normalized():
         return el
     phi = el.phi.lagrange(el.rho, range(-el.q, 0))
-    lead = el.rho.leading_coefficient()
-    if not lead.is_one():
-        phi = rotate_exponential(phi, ONE / adjoin_root(lead, el.p))
     return ElementaryConnection(LaurentSeries.monomial(el.p), phi, el.reg)
 
 
@@ -322,12 +318,10 @@ def reduce_minimal(el: ElementaryConnection) -> ElementaryConnection:
     return ElementaryConnection(LaurentSeries.monomial(el.p // d), phi, reg)
 
 
-def rotate_exponential(phi: LaurentSeries, zeta_val: FieldElement) -> LaurentSeries:
-    """phi(zeta * u): scales the coefficient of u^e by zeta^e."""
-    # invert once: a negative power would invert zeta again for every e
-    inv = ONE / zeta_val if any(e < 0 for e in phi.coeffs) else None
+def rotate_exponential(phi: LaurentSeries, p: int, k: int) -> LaurentSeries:
+    """phi(zeta_p^k u), coefficient of u^e times zeta_p^(ke)."""
     return LaurentSeries(
-        {e: c * (zeta_val ** e if e >= 0 else inv ** -e) for e, c in phi.coeffs.items()}
+        {e: c * zeta(p, k * e) for e, c in phi.coeffs.items()}, phi.prec, phi.var
     )
 
 
@@ -346,7 +340,7 @@ def pullback_decompose(el: ElementaryConnection, d: int) -> FormalConnection:
         raise DomainError(f"{d} does not divide the ramification degree {el.p}")
     out = []
     for k in range(d):
-        phi_k = rotate_exponential(el.phi, zeta(el.p, k))
+        phi_k = rotate_exponential(el.phi, el.p, k)
         out.append(ElementaryConnection(LaurentSeries.monomial(el.p // d), phi_k, el.reg))
     return FormalConnection(out)
 
@@ -362,7 +356,7 @@ def _orbit_representative(p: int, phi: LaurentSeries) -> tuple[LaurentSeries, tu
     best = phi
     best_key = _phi_key(phi)
     for k in range(1, p):
-        cand = rotate_exponential(phi, zeta(p, k))
+        cand = rotate_exponential(phi, p, k)
         key = _phi_key(cand)
         if key < best_key:
             best, best_key = cand, key
@@ -384,9 +378,8 @@ def is_isomorphic_elementary(
     if a.p != b.p or a.reg != b.reg:
         return None
     for k in range(a.p):
-        w = zeta(a.p, k)
-        if rotate_exponential(b.phi, w) == a.phi:
-            return w
+        if rotate_exponential(b.phi, a.p, k) == a.phi:
+            return zeta(a.p, k)
     return None
 
 

@@ -18,7 +18,7 @@ from .connection import elementary
 from .dsl import render_scalar
 from .errors import DomainError, InternalError
 from .exactfield import ONE, ZERO, FieldElement, exp2pi, rational
-from .fourier import fourier_0_inf
+from .fourier import INFINITY, fourier_0_inf
 from .series import LaurentSeries
 
 
@@ -195,7 +195,7 @@ def newton_polygon_slopes(a: WeylOperator, at=0):
         raise DomainError("the zero operator has no Newton polygon")
     if at in (0, "0"):
         flip = 1
-    elif at in ("inf", "infinity") or repr(at) == "infinity":
+    elif at is INFINITY or at in ("inf", "infinity"):
         flip = -1
     else:
         raise DomainError(f"unknown expansion point {at!r}")

@@ -306,10 +306,12 @@ class LaurentSeries:
     def lagrange(self, rho: "LaurentSeries", exps: range) -> "LaurentSeries":
         """The coefficients of v^n, n in exps, of self(lambda(v)), all n != 0.
 
-        Write rho = c u^p (1 + h); lambda is the compositional inverse of
-        u (1 + h)^(1/p), so rho(lambda(v)) = c v^p.  Lagrange-Buermann gives
-        [v^n] self(lambda) = (1/n) [u^(n-1)] self' (1 + h)^(-n/p), and Miller's
-        recurrence the powers of 1 + h, so nothing is reversed or composed.
+        Write rho = c u^p (1 + h), root the canonical p-th root of c, and
+        lambda the compositional inverse of root u (1 + h)^(1/p), so that
+        rho(lambda(v)) = v^p.  Lagrange-Buermann gives [v^n] self(lambda) =
+        root^-n (1/n) [u^(n-1)] self' (1 + h)^(-n/p), with the powers of 1 + h
+        from Miller's recurrence, so nothing is reversed or composed.  root^-n
+        is a positive power of root for n < 0, and of 1/c for n > 0 when p = 1.
         self must be exact, and so is the result.  Raises PrecisionError when
         rho is not known far enough for the largest n.
         """
@@ -318,14 +320,18 @@ class LaurentSeries:
         df = self.derivative()
         dval = df.valuation()
         need = max(exps) - dval
-        h, rel = rho._unit_part(ONE / rho.leading_coefficient(), need)
+        p, c = rho.valuation(), rho.leading_coefficient()
+        c_inv = ONE / c
+        h, rel = rho._unit_part(c_inv, need)
         if rel < need:
             raise PrecisionError(f"rho is needed to relative order {need}, not {rel}")
+        root = None if c.is_one() else adjoin_root(c, p)
         table = {}
         for n in exps:
-            b = _miller(h, Fraction(-n, rho.valuation()), n - dval)
-            terms = [c * b[n - 1 - i] for i, c in df.coeffs.items() if i < n]
-            table[n] = sum(terms, ZERO) * Fraction(1, n)
+            b = _miller(h, Fraction(-n, p), n - dval)
+            terms = [x * b[n - 1 - i] for i, x in df.coeffs.items() if i < n]
+            x = sum(terms, ZERO) * Fraction(1, n)
+            table[n] = x if root is None else x * (c_inv ** n if p == 1 and n > 0 else root ** -n)
         return LaurentSeries(table, None, self.var)
 
     def compose(self, g: "LaurentSeries", window: Optional[int] = None) -> "LaurentSeries":
@@ -352,18 +358,17 @@ class LaurentSeries:
     def reversion(self, window: Optional[int] = None) -> "LaurentSeries":
         """The compositional inverse of a series of valuation exactly 1.
 
-        By Lagrange inversion, [v^n] f^-1 = (1/n) a^-n [u^(n-1)] (1 + h)^-n
-        for f = a u (1 + h).
+        It is lagrange's lambda for rho = self = a u (1 + h), read off f = u:
+        [v^n] self^-1 = (1/n) a^-n [u^(n-1)] (1 + h)^-n.
         """
         if self.is_zero_to_precision() or self.valuation() != 1:
             raise DomainError("reversion requires valuation exactly 1")
-        a_inv = ONE / self.coeffs[1]
         if len(self.coeffs) == 1 and self.prec is None:
-            return LaurentSeries.monomial(1, a_inv, self.var)
+            return LaurentSeries.monomial(1, ONE / self.coeffs[1], self.var)
         rel = working_window(0, 0) if window is None else window
         target = self.prec if self.prec is not None else 1 + rel
         g = LaurentSeries.identity(self.var).lagrange(self, range(1, target))
-        return LaurentSeries({n: x * a_inv ** n for n, x in g.coeffs.items()}, target, self.var)
+        return LaurentSeries(g.coeffs, target, self.var)
 
     # -- display -----------------------------------------------------------
 

@@ -28,7 +28,7 @@ from .connection import (
     rotate_exponential,
 )
 from .errors import DomainError
-from .exactfield import ONE, rational, zeta
+from .exactfield import ONE, rational
 from .series import LaurentSeries
 
 log = logging.getLogger(__name__)
@@ -69,7 +69,7 @@ def tensor(el1: ElementaryConnection, el2: ElementaryConnection) -> FormalConnec
     base2 = _stretch(el2.phi, p1r)
     out = []
     for k in range(d):
-        phi_k = base1 + rotate_exponential(base2, zeta(big, k))
+        phi_k = base1 + rotate_exponential(base2, big, k)
         out.append(ElementaryConnection(LaurentSeries.monomial(big, var="w"), phi_k, reg))
     return canonicalize(FormalConnection(out))
 

@@ -12,15 +12,18 @@ approximate.
 from __future__ import annotations
 
 import functools
+import gc
 import io
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import localfourier
 from localfourier import cli
 from localfourier.connection import (
     ElementaryConnection,
@@ -325,7 +328,7 @@ def test_isomorphism_classification_and_canonical_form():
         for k in range(p):
             rotated = elementary(
                 S.monomial(p),
-                rotate_exponential(phi, zeta(p) ** k),
+                rotate_exponential(phi, p, k),
                 RegularPart([(2, 1)]),
             )
             assert is_isomorphic(
@@ -447,3 +450,41 @@ def test_text_format_round_trip_and_error_locations(monkeypatch, capsys):
         code, out, err = run_cli(["canon", str(path)], monkeypatch, capsys)
         assert code == 2
         assert re.search(r"\d+:\d+", err), err
+
+
+# -- 10: bounded memory ------------------------------------------------------
+
+
+def test_library_holds_no_memory_across_calls():
+    # after a warm-up, repeated transform / canonicalize / isomorphism calls
+    # on freshly built inputs leave no allocation held by library code
+    # (unreachable cycles are collected before each snapshot)
+    specs = [
+        (1, {-1: rational(2)}, [(3, 1)]),
+        (2, {-3: zeta(3), -1: rational("1/2")}, [(zeta(3), 2)]),
+        (1, {-2: zeta(4)}, [(-1, 1)]),
+        (3, {-2: rational(1), -1: zeta(3)}, [(2, 1)]),
+    ]
+
+    def call(i):
+        p, phi, reg = specs[i % len(specs)]
+        el = elementary(S.monomial(p), S(phi), RegularPart(reg))
+        tr = fourier_0_inf(el, "-")
+        canonicalize(tr)
+        assert is_isomorphic(fourier_inf_0(tr, "+"), el)
+
+    src = [tracemalloc.Filter(True, str(Path(localfourier.__file__).parent / "*"))]
+    tracemalloc.start()
+    try:
+        for i in range(12):
+            call(i)
+        gc.collect()
+        before = tracemalloc.take_snapshot().filter_traces(src)
+        for i in range(48):
+            call(i)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(src)
+    finally:
+        tracemalloc.stop()
+    grown = [s for s in after.compare_to(before, "lineno") if s.size_diff > 0]
+    assert grown == []

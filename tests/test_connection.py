@@ -28,7 +28,7 @@ from localfourier.connection import (
     rotate_exponential,
 )
 from localfourier.errors import DomainError
-from localfourier.exactfield import ONE, rational, zeta
+from localfourier.exactfield import ONE, adjoin_root, rational, zeta
 from localfourier.rigidity import dim_centralizer, dim_fixed, pushforward_monodromy
 from localfourier.series import LaurentSeries
 
@@ -154,8 +154,8 @@ def test_is_isomorphic_elementary_witness():
     a = El(S.monomial(2), S({-1: 1}), r)
     b = El(S.monomial(2), S({-1: -1}), r)
     w = is_isomorphic_elementary(a, b)
-    assert w == rational(-1)
-    assert rotate_exponential(b.phi, w) == a.phi
+    assert w == zeta(2, 1)
+    assert rotate_exponential(b.phi, 2, 1) == a.phi
     assert is_isomorphic_elementary(a, El(S.monomial(2), S({-1: 2}), r)) is None
     assert is_isomorphic_elementary(a, a) == ONE
 
@@ -295,10 +295,34 @@ def _minimal_el(draw):
 @settings(max_examples=40, deadline=None)
 @given(_minimal_el(), st.integers(min_value=0, max_value=5))
 def test_rotation_yields_isomorphic(el, k):
-    w = zeta(el.p, k % el.p)
-    rotated = ElementaryConnection(el.rho, rotate_exponential(el.phi, w), el.reg)
+    rotated = ElementaryConnection(el.rho, rotate_exponential(el.phi, el.p, k), el.reg)
     assert is_isomorphic_elementary(el, rotated) is not None
     assert is_isomorphic(el, rotated)
+
+
+def ref_rotate(phi, c):
+    # the earlier generic substitution: phi(c u), the coefficient of u^e
+    # times c ** e (an inverse for every negative e)
+    return S({e: x * c ** e for e, x in phi.coeffs.items()})
+
+
+_rotation_coeff = st.sampled_from(
+    [rational("-3/2"), rational(5), zeta(3), 2 - zeta(3), zeta(4) + rational("1/3"),
+     adjoin_root(2, 2), 1 + adjoin_root(2, 2)]
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.data(),
+    st.dictionaries(st.integers(min_value=-8, max_value=-1), _rotation_coeff, min_size=1, max_size=3),
+    st.dictionaries(st.integers(min_value=0, max_value=8), _rotation_coeff, min_size=1, max_size=3),
+)
+def test_rotation_by_index_matches_generic_substitution(p, data, neg, pos):
+    k = data.draw(st.integers(min_value=-p, max_value=2 * p - 1))
+    phi = S({**neg, **pos})
+    assert rotate_exponential(phi, p, k) == ref_rotate(phi, zeta(p) ** k)
 
 
 @settings(max_examples=40, deadline=None)

@@ -153,6 +153,15 @@ def test_newton_accepts_infinity_marker():
         newton_polygon_slopes(WeylOperator.zero(), at=0)
 
 
+def test_newton_knows_infinity_by_identity():
+    class Impostor:
+        def __repr__(self):
+            return "infinity"
+
+    with pytest.raises(DomainError):
+        newton_polygon_slopes(D - scal(1), at=Impostor())
+
+
 def test_mixed_boundary_splits_by_slope():
     # vertices (0,0), (1,0), (3,2): flat first, then slope 1
     op = WeylOperator({(0, 0): 1, (1, 1): 1, (5, 3): 1})
