@@ -311,7 +311,7 @@ class LaurentSeries:
         rho(lambda(v)) = v^p.  Lagrange-Buermann gives [v^n] self(lambda) =
         root^-n (1/n) [u^(n-1)] self' (1 + h)^(-n/p), with the powers of 1 + h
         from Miller's recurrence, so nothing is reversed or composed.  root^-n
-        is a positive power of root for n < 0, and of 1/c for n > 0 when p = 1.
+        is a positive power of root for the n < 0 of an exponential factor.
         self must be exact, and so is the result.  Raises PrecisionError when
         rho is not known far enough for the largest n.
         """
@@ -331,7 +331,7 @@ class LaurentSeries:
             b = _miller(h, Fraction(-n, p), n - dval)
             terms = [x * b[n - 1 - i] for i, x in df.coeffs.items() if i < n]
             x = sum(terms, ZERO) * Fraction(1, n)
-            table[n] = x if root is None else x * (c_inv ** n if p == 1 and n > 0 else root ** -n)
+            table[n] = x if root is None else x * root ** -n
         return LaurentSeries(table, None, self.var)
 
     def compose(self, g: "LaurentSeries", window: Optional[int] = None) -> "LaurentSeries":

@@ -9,8 +9,6 @@ import pytest
 
 from localfourier import cli
 from localfourier.errors import InternalError
-from localfourier.exactfield import zeta
-from localfourier.fourier import INFINITY
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -289,8 +287,3 @@ def test_corpus_valid_connections_print(run):
             assert "no connection" in err
         else:
             assert code == 0, path.name
-
-
-def test_location_text_knows_infinity_by_identity():
-    assert cli._location_text(INFINITY) == "infinity"
-    assert cli._location_text(zeta(3)) == "zeta(3)"
