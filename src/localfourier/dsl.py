@@ -577,10 +577,10 @@ def _scalar_pieces(value: FieldElement, bare_ints: bool):
     if value.is_zero():
         return [(False, "0" if bare_ints else "0/1")]
     pieces = []
-    for factors, cyc in value.radical_parts():
+    for factors, n, coords in value.radical_parts():
         rad = "*".join(_factor_str(k, p, e, bare_ints) for k, p, e in factors)
         inner = []
-        for j, coord in enumerate(cyc.c):
+        for j, coord in enumerate(coords):
             if not coord:
                 continue
             neg = coord < 0
@@ -588,7 +588,7 @@ def _scalar_pieces(value: FieldElement, bare_ints: bool):
             if j == 0:
                 inner.append((neg, _rat_str(mag, bare_ints)))
             else:
-                z = f"zeta({cyc.n})" + (f"^{j}" if j > 1 else "")
+                z = f"zeta({n})" + (f"^{j}" if j > 1 else "")
                 if mag == 1:
                     inner.append((neg, z))
                 else:

@@ -24,6 +24,9 @@ product of the other Galois conjugates over the rational norm.  Sort keys,
 rationality tests and printed coefficients use the minimal field Q(zeta_d)
 holding a value, read off the coordinates one prime of N at a time with no
 linear solve; the only caches here are keyed by a cyclotomic order.
+A rational operand (order 1) is scaled in or added to coordinate 0 in place,
+never lifted, and radical_parts is the only coordinate view outside this
+module.
 """
 
 from __future__ import annotations
@@ -169,6 +172,11 @@ def _cyc_pair(a: _Cyc, b: _Cyc) -> tuple[_Cyc, _Cyc, int]:
 
 
 def _cyc_add(a: _Cyc, b: _Cyc) -> _Cyc:
+    # a rational r lifts to (r, 0, ..., 0): it only moves coordinate 0
+    if a.n == 1:
+        a, b = b, a
+    if b.n == 1:
+        return _Cyc(a.n, (a.c[0] + b.c[0],) + a.c[1:])
     a, b, n = _cyc_pair(a, b)
     return _Cyc(n, tuple(x + y for x, y in zip(a.c, b.c)))
 
@@ -180,6 +188,11 @@ def _cyc_neg(a: _Cyc) -> _Cyc:
 def _cyc_mul(a: _Cyc, b: _Cyc) -> _Cyc:
     if a.is_zero() or b.is_zero():
         return _CYC_ZERO
+    if a.n == 1:
+        a, b = b, a
+    if b.n == 1:
+        r = b.c[0]
+        return _Cyc(a.n, tuple(r * x for x in a.c))
     a, b, n = _cyc_pair(a, b)
     dense = [_ZERO] * (2 * len(a.c) - 1)
     for i, x in enumerate(a.c):
@@ -360,10 +373,11 @@ class FieldElement:
         return None
 
     def radical_parts(self):
-        """Iterate (monomial factors, cyclotomic coefficient) for printing.
+        """Iterate (monomial factors, n, coords) for printing.
 
         Factors come as (kind, payload, exponent) with kind 'p' (payload a
-        prime) or 'x' (payload the defining gamma as a FieldElement).
+        prime) or 'x' (payload the defining gamma as a FieldElement).  The
+        coefficient of the monomial is sum coords[j] zeta_n^j, n minimal.
         """
         for mono in sorted(self._terms, key=_mono_key):
             factors = []
@@ -372,7 +386,8 @@ class FieldElement:
                     factors.append(("p", key[1], e))
                 else:
                     factors.append(("x", key[1].gamma, e))
-            yield factors, _cyc_contract(self._terms[mono])
+            c = _cyc_contract(self._terms[mono])
+            yield factors, c.n, c.c
 
     # -- arithmetic --------------------------------------------------------
 
@@ -584,10 +599,13 @@ ONE = FieldElement({_TRIVIAL_MONO: _CYC_ONE})
 
 
 def rational(x: Union[int, str, Fraction]) -> FieldElement:
-    """The rational scalar x (int, Fraction, or a 'p/q' string)."""
+    """The rational scalar x (int, Fraction, or a 'p/q' string); else DomainError."""
     if isinstance(x, str):
-        x = Fraction(x)
-    return FieldElement.from_any(Fraction(x))
+        try:
+            x = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"not a rational number: {x!r}") from None
+    return FieldElement.from_any(x)
 
 
 def zeta(n: int, k: int = 1) -> FieldElement:

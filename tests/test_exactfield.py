@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localfourier.errors import DomainError, FieldError, TowerDepthError
@@ -15,6 +15,7 @@ from localfourier.exactfield import (
     ZERO,
     FieldElement,
     _Cyc,
+    _cyc_add,
     _cyc_contract,
     _cyc_inv,
     _cyc_lift,
@@ -33,6 +34,12 @@ def test_rational_basics():
     assert rational(7).as_rational() == Fraction(7)
     assert (rational(3) - 3).is_zero()
     assert rational(Fraction(-2, 6)).as_rational() == Fraction(-1, 3)
+
+
+def test_rational_refuses_what_is_not_a_rational():
+    for bad in (0.1, "1/0", "abc"):
+        with pytest.raises(DomainError):
+            rational(bad)
 
 
 def test_zeta_low_orders():
@@ -194,9 +201,9 @@ def test_radical_parts_view():
     r2 = adjoin_root(2, 2)
     parts = list((rational(3) * r2).radical_parts())
     assert len(parts) == 1
-    factors, cyc = parts[0]
+    factors, n, coords = parts[0]
     assert factors == [("p", 2, Fraction(1, 2))]
-    assert cyc.n == 1 and cyc.c == (Fraction(3),)
+    assert n == 1 and coords == (Fraction(3),)
 
 
 _ORDERS = [1, 2, 3, 4, 6, 8, 12]
@@ -434,14 +441,25 @@ def _mixed_pair(draw):
     return n, [(d, draw(_powers_in(d))) for d in orders]
 
 
+_AT_12 = (12, {0: Fraction(1), 1: Fraction(-2), 3: Fraction(5, 3)})
+
+
 @settings(max_examples=150, deadline=None)
 @given(_mixed_pair())
+# a rational on either side, and one that cancels coordinate 0
+@example((12, [(1, {0: Fraction(-7, 2)}), _AT_12]))
+@example((12, [_AT_12, (1, {0: Fraction(-7, 2)})]))
+@example((12, [(1, {0: Fraction(-1)}), _AT_12]))
 def test_table_reduction_matches_long_division(case):
     n, drawn = case
     for d, powers in drawn:
         assert _Cyc.from_powers(d, powers).c == _reference_from_powers(d, powers)
     a, b = (_Cyc.from_powers(d, powers) for d, powers in drawn)
     assert _cyc_lift(a, n).c == _reference_lift(a, n)
+    m = a.n * b.n // gcd(a.n, b.n)
+    got = _cyc_add(a, b)
+    want = tuple(x + y for x, y in zip(_reference_lift(a, m), _reference_lift(b, m)))
+    assert (got.n, got.c) == (m, want)
     got, want = _cyc_mul(a, b), _reference_mul(a, b)
     if a.is_zero() or b.is_zero():
         assert got.is_zero() and want.is_zero()

@@ -182,6 +182,20 @@ def test_no_function_mutates_module_state():
     assert found == []
 
 
+def test_cyclotomic_coordinates_stay_in_exactfield():
+    # other modules read scalars through FieldElement's public views
+    found = [
+        f"{module}: line {node.lineno}"
+        for module, tree in _trees().items()
+        if module != "exactfield"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_Cyc")
+        or (isinstance(node, ast.alias) and node.name == "_Cyc")
+        or (isinstance(node, ast.Attribute) and node.attr in ("_Cyc", "c"))
+    ]
+    assert found == []
+
+
 def test_every_traced_function_resolves():
     # the traced benchmark run wraps perfbench/tracing.py's LAYERS by name;
     # a name that no longer resolves makes its install step raise
