@@ -34,7 +34,7 @@ class RegularPart:
     def __init__(self, blocks: Iterable[tuple[Union[FieldElement, int, Fraction], int]] = ()):
         canon: list[JordanBlock] = []
         for eig, size in blocks:
-            fe = eig if isinstance(eig, FieldElement) else FieldElement.from_any(eig)
+            fe = FieldElement.from_any(eig)
             if fe.is_zero():
                 raise DomainError("monodromy eigenvalues must be nonzero")
             if size < 1:

@@ -564,7 +564,7 @@ def _rat_str(r: Fraction, bare_ints: bool) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-def _factor_str(kind, payload, e: Fraction, bare_ints: bool) -> str:
+def _factor_str(kind, payload, e: Fraction) -> str:
     base = payload if kind == "p" else render_scalar(payload, bare_ints=True)
     out = f"root({base},{e.denominator})"
     if e.numerator != 1:
@@ -578,7 +578,7 @@ def _scalar_pieces(value: FieldElement, bare_ints: bool):
         return [(False, "0" if bare_ints else "0/1")]
     pieces = []
     for factors, n, coords in value.radical_parts():
-        rad = "*".join(_factor_str(k, p, e, bare_ints) for k, p, e in factors)
+        rad = "*".join(_factor_str(k, p, e) for k, p, e in factors)
         inner = []
         for j, coord in enumerate(coords):
             if not coord:

@@ -17,6 +17,13 @@ Equality is decidable within one tower of such generators; nesting depth is
 capped at MAX_TOWER_DEPTH.  All arithmetic is exact; nothing here touches
 floating point.
 
+A monomial is inverted directly.  A sum is inverted by a norm taken one
+generator g at a time: with m the lcm of the denominators of g's exponents,
+the product conj of the Kummer conjugates g^e -> zeta_m^(j e m) g^e, 0 < j < m,
+makes a * conj free of g, and 1/a = conj / (a * conj).  When a * conj is zero
+the formal generators satisfy a relation over Q(zeta_N) and division is
+refused with FieldError; sums over depth-2 generators are refused as well.
+
 Values of Q(zeta_N) are power-basis coordinates of length phi(N).  A table
 per order N, built once with integer entries, holds the coordinates of each
 zeta_N^k, k < N, so reduction is a sum of table rows; an inverse is the
@@ -34,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Optional, Union
 
 from .errors import DomainError, FieldError, InternalError, TowerDepthError
@@ -70,10 +77,6 @@ def _euler_phi(n: int) -> int:
     for p, e in _factorize(n).items():
         total *= (p - 1) * p ** (e - 1)
     return total
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _reduce_unit(n: int, k: int) -> tuple[int, int]:
@@ -167,7 +170,7 @@ def _cyc_lift(a: _Cyc, n: int) -> _Cyc:
 
 
 def _cyc_pair(a: _Cyc, b: _Cyc) -> tuple[_Cyc, _Cyc, int]:
-    n = _lcm(a.n, b.n)
+    n = lcm(a.n, b.n)
     return _cyc_lift(a, n), _cyc_lift(b, n), n
 
 
@@ -328,19 +331,19 @@ class FieldElement:
     def as_rational(self) -> Optional[Fraction]:
         if not self._terms:
             return _ZERO
-        if set(self._terms) != {_TRIVIAL_MONO}:
+        if self.has_radicals():
             return None
         c = _cyc_contract(self._terms[_TRIVIAL_MONO])
         return c.c[0] if c.n == 1 else None
 
     def has_radicals(self) -> bool:
-        return any(m for m in self._terms)
+        return any(self._terms)
 
     def cyclotomic_order(self) -> int:
         """Minimal N with every cyclotomic coefficient inside Q(zeta_N)."""
         n = 1
         for c in self._terms.values():
-            n = _lcm(n, _cyc_contract(c).n)
+            n = lcm(n, _cyc_contract(c).n)
         return n
 
     def tower_level(self) -> int:
@@ -368,7 +371,7 @@ class FieldElement:
                 if r > 0:
                     return (r,) + _reduce_unit(n, k)
                 # fold the sign into the root of unity
-                n2 = _lcm(n, 2)
+                n2 = lcm(n, 2)
                 return (-r,) + _reduce_unit(n2, k * (n2 // n) + n2 // 2)
         return None
 
@@ -411,10 +414,7 @@ class FieldElement:
 
     def __mul__(self, other):
         other = FieldElement.from_any(other)
-        if (
-            set(self._terms) <= {_TRIVIAL_MONO}
-            and set(other._terms) <= {_TRIVIAL_MONO}
-        ):
+        if not (self.has_radicals() or other.has_radicals()):
             if not self._terms or not other._terms:
                 return ZERO
             c = _cyc_mul(self._terms[_TRIVIAL_MONO], other._terms[_TRIVIAL_MONO])
@@ -478,50 +478,26 @@ class FieldElement:
                     new_mono[key] = rem
             base = FieldElement({frozenset(new_mono.items()): _cyc_inv(cyc)})
             return base * inv_extra
-        return self._invert_radical_sum()
-
-    def _invert_radical_sum(self) -> "FieldElement":
         if self.tower_level() >= 2:
             raise FieldError("cannot invert sums involving depth-2 radical generators")
-        # span: the multiplicative closure of the exponent vectors present
-        basis: list[_Monomial] = [_TRIVIAL_MONO]
-        seen = {_TRIVIAL_MONO}
-        gens = [m for m in self._terms]
-        frontier = [_TRIVIAL_MONO]
-        while frontier:
-            nxt = []
-            for mono in frontier:
-                for g in gens:
-                    prod, _ = _mono_mul(mono, g)
-                    if prod not in seen:
-                        seen.add(prod)
-                        nxt.append(prod)
-                        basis.append(prod)
-                        if len(basis) > 256:
-                            raise FieldError("radical tower too large to invert a sum")
-            frontier = nxt
-        index = {m: i for i, m in enumerate(basis)}
-        size = len(basis)
-        # matrix of multiplication by self on the span, entries in Q(zeta)
-        cols: list[dict[int, _Cyc]] = []
-        for mono in basis:
-            col: dict[int, _Cyc] = {}
-            unit = FieldElement({mono: _CYC_ONE})
-            prod = self * unit
-            for m2, c2 in prod._terms.items():
-                if m2 not in index:
-                    raise InternalError("span not closed under multiplication")
-                col[index[m2]] = c2
-            cols.append(col)
-        # solve sum_j x_j * col_j = e_identity by elimination over Q(zeta)
-        mat = [[cols[j].get(i, _CYC_ZERO) for j in range(size)] for i in range(size)]
-        rhs = [_CYC_ONE if basis[i] == _TRIVIAL_MONO else _CYC_ZERO for i in range(size)]
-        sol = _solve_cyc_linear(mat, rhs)
-        if sol is None:
+        # 1/a = conj / (a * conj), conj the product of the Kummer conjugates
+        # g^e -> zeta_m^(j e m) g^e, 0 < j < m, of one generator g: a * conj
+        # is fixed by each of them, so g drops out of it
+        key = min(key for mono in self._terms for key, _ in mono)
+        exps = [dict(mono).get(key, _ZERO) for mono in self._terms]
+        m = lcm(*(e.denominator for e in exps))
+        conj = ONE
+        for j in range(1, m):
+            conj = conj * FieldElement({
+                mono: _cyc_mul(c, _Cyc.from_powers(m, {int(j * m * e): _ONE}))
+                for (mono, c), e in zip(self._terms.items(), exps)
+            })
+        norm = self * conj
+        if norm.is_zero():
             raise FieldError(
                 "radical relations are degenerate (reducible extension); refusing to divide"
             )
-        return FieldElement({basis[j]: sol[j] for j in range(size)})
+        return conj * norm._invert()
 
     # -- ordering ----------------------------------------------------------
 
@@ -572,23 +548,6 @@ def _mul_monomials(m1: _Monomial, c1: _Cyc, m2: _Monomial, c2: _Cyc) -> FieldEle
         overflow = extra if overflow is None else overflow * extra
     base = FieldElement({mono: _cyc_mul(c1, c2)})
     return base if overflow is None else base * overflow
-
-
-def _solve_cyc_linear(mat: list[list[_Cyc]], rhs: list[_Cyc]) -> Optional[list[_Cyc]]:
-    n = len(mat)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = _cyc_inv(aug[col][col])
-        aug[col] = [_cyc_mul(v, inv) for v in aug[col]]
-        for r in range(n):
-            if r != col and not aug[r][col].is_zero():
-                f = aug[r][col]
-                aug[r] = [_cyc_add(v, _cyc_neg(_cyc_mul(f, w))) for v, w in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
 
 
 # --------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class LaurentSeries:
     ):
         table: dict[int, FieldElement] = {}
         for k, v in coeffs.items():
-            fe = FieldElement.from_any(v) if not isinstance(v, FieldElement) else v
+            fe = FieldElement.from_any(v)
             if fe.is_zero():
                 continue
             if prec is not None and k >= prec:
@@ -70,7 +70,7 @@ class LaurentSeries:
 
     @staticmethod
     def monomial(exp: int, coeff: Scalar = 1, var: str = "u") -> "LaurentSeries":
-        return LaurentSeries({exp: FieldElement.from_any(coeff) if not isinstance(coeff, FieldElement) else coeff}, None, var)
+        return LaurentSeries({exp: coeff}, None, var)
 
     @staticmethod
     def identity(var: str = "u") -> "LaurentSeries":
@@ -134,7 +134,7 @@ class LaurentSeries:
         )
 
     def scale(self, c: Scalar) -> "LaurentSeries":
-        fe = c if isinstance(c, FieldElement) else FieldElement.from_any(c)
+        fe = FieldElement.from_any(c)
         if fe.is_zero():
             return LaurentSeries.zero(self.var)
         return LaurentSeries(
@@ -389,7 +389,7 @@ def _coerce(x, var: str) -> LaurentSeries:
             raise DomainError(f"series in {x.var} and in {var} do not combine")
         return x
     if isinstance(x, (int, Fraction, FieldElement)):
-        fe = x if isinstance(x, FieldElement) else FieldElement.from_any(x)
+        fe = FieldElement.from_any(x)
         if fe.is_zero():
             return LaurentSeries.zero(var)
         return LaurentSeries({0: fe}, None, var)

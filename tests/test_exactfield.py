@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -136,6 +136,22 @@ def test_invert_radical_sum():
     r3 = adjoin_root(3, 2)
     y = r2 + r3
     assert y * (ONE / y) == ONE
+    # a cube root: 1/(1 + c) = (1 - c + c^2) / (1 + c^3)
+    c = adjoin_root(2, 3)
+    assert ONE / (ONE + c) == (ONE - c + c * c) * Fraction(1, 3)
+    # an opaque generator w, w^2 = 2 + zeta_3: 1/(1 + w) = (1 - w) / (1 - w^2)
+    w = adjoin_root(2 + zeta(3), 2)
+    assert ONE / (ONE + w) == (w - 1) / (ONE + zeta(3))
+    z = zeta(4) * w + r3 - c
+    assert z * (ONE / z) == ONE
+
+
+def test_sum_with_a_large_monomial_span_inverts():
+    # the products of its monomials span 2^5 * 3^2 = 288 monomials
+    x = ONE + adjoin_root(13, 3) + adjoin_root(17, 3)
+    for p in (2, 3, 5, 7, 11):
+        x = x + adjoin_root(p, 2)
+    assert x * (ONE / x) == ONE
 
 
 def test_opaque_generator_round_trip():
@@ -490,3 +506,75 @@ def test_table_holds_the_cyclotomic_polynomial():
         got = [-row.get(i, 0) for i in range(phi)] + [1]
         want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert got == want, n
+
+
+# -- radical sums against a Q-linear reference -------------------------------
+# The reference solves x y = 1 over Q in the basis of the products g^k, k < m,
+# of the generators in x, times zeta_N^j, j < phi(N): a sum has an inverse
+# exactly when that system has a solution.
+
+_GENERATORS = {
+    "r2": (adjoin_root(2, 2), 2),
+    "r3": (adjoin_root(3, 2), 2),
+    "c5": (adjoin_root(5, 3), 3),
+    # opaque: 2 + zeta_3 is no root of unity times a rational
+    "w": (adjoin_root(2 + zeta(3), 2), 2),
+}
+
+
+@st.composite
+def _radical_sum(draw):
+    # terms (generator or None, power, n, powers): c g^power, c in Q(zeta_n)
+    term = st.tuples(
+        st.sampled_from([None, *_GENERATORS]),
+        st.integers(1, 2),
+        st.sampled_from([1, 3, 4, 6]),
+        st.dictionaries(st.integers(0, 5), _small_fraction, min_size=1, max_size=2),
+    )
+    return draw(st.lists(term, min_size=2, max_size=3))
+
+
+def _reference_inverse(terms, x):
+    names = sorted({name for name, _, _, _ in terms if name})
+    n = lcm(*(n for _, _, n, _ in terms), 3 if "w" in names else 1)
+    monos = [ONE]
+    for name in names:
+        g, m = _GENERATORS[name]
+        monos = [b * g ** k for b in monos for k in range(m)]
+    index = {next(iter(b._terms)): i for i, b in enumerate(monos)}
+    width = _euler_phi(n)
+
+    def coords(y):
+        out = [Fraction(0)] * (len(monos) * width)
+        for mono, c in y._terms.items():
+            at = index[mono] * width
+            out[at:at + width] = _cyc_lift(_cyc_contract(c), n).c
+        return out
+
+    basis = [b * zeta(n, j) for b in monos for j in range(width)]
+    columns = [coords(x * b) for b in basis]
+    sol = _solve([list(row) for row in zip(*columns)], coords(ONE))
+    if sol is None:
+        return None
+    return sum((v * b for v, b in zip(sol, basis)), ZERO)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_radical_sum())
+# (1 + 2 zeta_3)^2 = -3 = (zeta_4 sqrt(3))^2: a zero divisor
+@example([(None, 1, 3, {0: Fraction(1), 1: Fraction(2)}), ("r3", 1, 4, {1: Fraction(-1)})])
+@example([("r2", 1, 1, {0: Fraction(1)}), ("c5", 2, 4, {1: Fraction(2)}), ("w", 1, 6, {1: Fraction(1)})])
+def test_sum_inverse_matches_the_linear_reference(terms):
+    x = ZERO
+    for name, k, n, powers in terms:
+        g = _GENERATORS[name][0] ** k if name else ONE
+        c = sum((rational(v) * zeta(n, j) for j, v in powers.items()), ZERO)
+        x = x + c * g
+    if x.is_zero():
+        return
+    want = _reference_inverse(terms, x)
+    if want is None:
+        with pytest.raises(FieldError):
+            ONE / x
+    else:
+        assert (ONE / x).sort_key() == want.sort_key()
