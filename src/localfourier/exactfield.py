@@ -419,11 +419,12 @@ class FieldElement:
                 return ZERO
             c = _cyc_mul(self._terms[_TRIVIAL_MONO], other._terms[_TRIVIAL_MONO])
             return FieldElement({_TRIVIAL_MONO: c})
-        out = FieldElement({})
+        terms: dict[_Monomial, _Cyc] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                out = out + _mul_monomials(m1, c1, m2, c2)
-        return out
+                for m, c in _mul_monomials(m1, c1, m2, c2)._terms.items():
+                    terms[m] = _cyc_add(terms[m], c) if m in terms else c
+        return FieldElement(terms)
 
     __rmul__ = __mul__
 

@@ -5,6 +5,18 @@ formulas; the new ramification map is a ratio of Laurent polynomials, so
 it is kept both as an exact fraction (for downstream recomputation at
 higher precision) and as a truncated expansion (for normal forms).
 
+With rho = n/d that fraction and D = n'd - nd' (just n' when d = 1), so
+that rho' = D/d^2, the maps are, up to sign,
+
+    0 -> inf     rho_hat = rho'/phi'          = D/(d^2 phi')
+    inf -> 0     rho_hat = rho^2 phi'/rho'    = n^2 phi'/D
+    inf -> inf   rho_hat = rho'/(phi' rho^2)  = D/(n^2 phi')
+
+and the correction to phi is (rho/rho') phi' = n d phi'/D.  They are
+written in n, d and D because Laurent polynomials are never reduced: a
+d^2 left in numerator and denominator would double the length of every
+fraction a chain of transforms builds on.
+
 Sign convention: the "minus" transform is the one whose kernel pairs t
 against -t/theta; on the standard one-term family it sends
 El(u, a u^-q, triv) to El(-u^(q+1)/(qa), (q+1) a u^-q, [((-1)^q : 1)]),
@@ -55,18 +67,9 @@ class RationalMap:
     num: LaurentSeries
     den: LaurentSeries
 
-    def valuation(self) -> int:
-        return self.num.valuation() - self.den.valuation()
-
     def expand(self, window: Optional[int] = None) -> LaurentSeries:
         """Power-series expansion; exact whenever den is a monomial."""
         return self.num * self.den.inverse(window=window)
-
-    def derivative(self) -> "RationalMap":
-        if _is_one_series(self.den):
-            return RationalMap(self.num.derivative(), self.den)
-        n, d = self.num, self.den
-        return RationalMap(n.derivative() * d - n * d.derivative(), d * d)
 
     def reciprocal(self) -> "RationalMap":
         if self.num.is_exactly_zero():
@@ -75,17 +78,6 @@ class RationalMap:
 
     def __neg__(self) -> "RationalMap":
         return RationalMap(-self.num, self.den)
-
-    def __mul__(self, other: "RationalMap") -> "RationalMap":
-        return RationalMap(self.num * other.num, self.den * other.den)
-
-    def mul_series(self, f: LaurentSeries) -> "RationalMap":
-        return RationalMap(self.num * f, self.den)
-
-    def div_series(self, f: LaurentSeries) -> "RationalMap":
-        if f.is_exactly_zero():
-            raise DomainError("division by the zero series")
-        return RationalMap(self.num, self.den * f)
 
     def scale(self, c) -> "RationalMap":
         return RationalMap(self.num.scale(c), self.den)
@@ -108,7 +100,7 @@ class _Kind(NamedTuple):
     """What one transform kind does not share with the others."""
 
     requires: tuple  # (predicate on the input, message when it fails)
-    rho_hat: Callable  # (rho, rho', phi') -> the new ramification map
+    rho_hat: Callable  # (n, d, D, phi') -> the new map, rho = n/d, rho' = D/d^2
     p_hat: Callable  # input -> ramification degree of the output
     corr_sign: int  # phi_hat = phi + corr_sign * (rho/rho') phi'
     negated_for: int  # the sign whose rho_hat is negated
@@ -119,7 +111,7 @@ _KINDS = {
     "0inf": _Kind(
         ((lambda el: el.q != 0,
           "the transform of a regular germ is not elementary; use fourier_regular"),),
-        lambda rho, drho, dphi: drho.div_series(dphi),
+        lambda n, d, D, dphi: RationalMap(D, d * d * dphi),
         lambda el: el.p + el.q,
         -1,
         1,
@@ -129,7 +121,7 @@ _KINDS = {
         ((lambda el: el.q != 0,
           "a regular germ at infinity is invisible to the finite-point transform"),
          (lambda el: el.q < el.p, "this transform kind needs slope < 1")),
-        lambda rho, drho, dphi: ((rho * rho).mul_series(dphi)) * drho.reciprocal(),
+        lambda n, d, D, dphi: RationalMap(n * n * dphi, D),
         lambda el: el.p - el.q,
         1,
         -1,
@@ -137,7 +129,7 @@ _KINDS = {
     ),
     "infinf": _Kind(
         ((lambda el: el.q > el.p, "this transform kind needs slope > 1"),),
-        lambda rho, drho, dphi: drho * ((rho * rho).mul_series(dphi)).reciprocal(),
+        lambda n, d, D, dphi: RationalMap(D, n * n * dphi),
         lambda el: el.q - el.p,
         1,
         -1,
@@ -156,14 +148,17 @@ def _transform(
         if not holds(el):
             raise DomainError(message)
     rho = _rho_map(el)
+    n, d = rho.num, rho.den
     dphi = el.phi.derivative()
-    drho = rho.derivative()
-    rho_hat = row.rho_hat(rho, drho, dphi)
+    D = n.derivative()
+    if not _is_one_series(d):
+        D = D * d - n * d.derivative()
+    rho_hat = row.rho_hat(n, d, D, dphi)
     if sgn == row.negated_for:
         rho_hat = -rho_hat
     rho_hat = RationalMap(rho_hat.num.with_var(row.var), rho_hat.den.with_var(row.var))
     w = working_window(row.p_hat(el), el.q) if window is None else window
-    corr = (rho * drho.reciprocal()).mul_series(dphi).expand(window=w)
+    corr = RationalMap(n * d * dphi, D).expand(window=w)
     phi_hat = (el.phi + (corr if row.corr_sign > 0 else -corr)).principal_part()
     return ElementaryConnection(
         rho_hat.expand(window=w),

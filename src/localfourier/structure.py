@@ -12,7 +12,6 @@ is ever materialized.
 
 from __future__ import annotations
 
-import logging
 from math import gcd
 from typing import Union
 
@@ -31,8 +30,6 @@ from .errors import DomainError
 from .exactfield import ONE, rational
 from .series import LaurentSeries
 
-log = logging.getLogger(__name__)
-
 
 def dual(el: ElementaryConnection) -> ElementaryConnection:
     """El(rho, -phi, R*) with inverse-transpose Jordan data."""
@@ -44,14 +41,6 @@ def _stretch(phi: LaurentSeries, m: int) -> LaurentSeries:
     return LaurentSeries({e * m: c for e, c in phi.coeffs.items()})
 
 
-def _ensure_normalized(el: ElementaryConnection, caller: str) -> ElementaryConnection:
-    if el.is_normalized():
-        return el
-    out = normalize_ramification(el)
-    log.debug("%s: reparametrized input of degree %d to the pure power form", caller, el.p)
-    return out
-
-
 def tensor(el1: ElementaryConnection, el2: ElementaryConnection) -> FormalConnection:
     """The tensor product, returned in canonical form.
 
@@ -59,8 +48,8 @@ def tensor(el1: ElementaryConnection, el2: ElementaryConnection) -> FormalConnec
     ramification degree p1 p2/d and splits into d summands; summand k
     twists the second factor by the root of unity zeta_{p1 p2/d}^k.
     """
-    el1 = _ensure_normalized(el1, "tensor")
-    el2 = _ensure_normalized(el2, "tensor")
+    el1 = normalize_ramification(el1)
+    el2 = normalize_ramification(el2)
     d = gcd(el1.p, el2.p)
     p1r, p2r = el1.p // d, el2.p // d
     big = el1.p * el2.p // d
@@ -101,7 +90,7 @@ def determinant(el: ElementaryConnection) -> ElementaryConnection:
     Jordan eigenvalues with block-size multiplicity, times the parity
     factor (-1)^((p-1) r) of the half-integer twist.
     """
-    el = _ensure_normalized(el, "determinant")
+    el = normalize_ramification(el)
     p, r = el.p, el.r
     trace_phi = LaurentSeries(
         {e // p: c for e, c in el.phi.coeffs.items() if e % p == 0}, var="t"

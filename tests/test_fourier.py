@@ -31,7 +31,7 @@ from localfourier.fourier import (
     fourier_s_inf,
     stationary_phase_at_infinity,
 )
-from localfourier.series import LaurentSeries
+from localfourier.series import LaurentSeries, working_window
 from localfourier.structure import tensor
 
 S = LaurentSeries
@@ -437,6 +437,88 @@ def test_conservation_randomized(el):
 def test_round_trip_randomized(el):
     back = fourier_inf_0(fourier_0_inf(el, "-"), "+")
     assert is_isomorphic(FormalConnection([back]), FormalConnection([el]))
+
+
+# ------------------------------------------- cancelled against uncancelled
+# The transforms write every map in n, d and D = n'd - nd' for rho = n/d.
+# The reference below builds the same maps from rho and rho' = D/d^2 as
+# the formulas read, and keeps every product whole.
+
+# kind: (transform, sign of the step, sign whose rho_hat is negated,
+#        sign of the correction, variable of the output, p_hat)
+_STEPS = {
+    "0inf": (fourier_0_inf, "-", 1, -1, "theta", lambda p, q: p + q),
+    "inf0": (fourier_inf_0, "+", -1, 1, "t", lambda p, q: p - q),
+    "infinf": (fourier_inf_inf, "+", -1, 1, "theta", lambda p, q: q - p),
+}
+
+
+def _uncancelled(kind, num, den, phi):
+    """One transform of El(num/den, phi) by products of rho, rho' and phi'."""
+    _, sign, negated_for, corr_sign, var, p_hat = _STEPS[kind]
+    dphi = phi.derivative()
+    dnum, dden = num.derivative() * den - num * den.derivative(), den * den
+    if kind == "0inf":  # rho'/phi'
+        hat_num, hat_den = dnum, dden * dphi
+    elif kind == "inf0":  # rho^2 phi'/rho'
+        hat_num, hat_den = num * num * dphi * dden, den * den * dnum
+    else:  # rho'/(phi' rho^2)
+        hat_num, hat_den = dnum * den * den, dden * dphi * num * num
+    if (1 if sign == "+" else -1) == negated_for:
+        hat_num = -hat_num
+    p, q = num.valuation() - den.valuation(), -phi.valuation()
+    w = working_window(p_hat(p, q), q)
+    corr = (num * dden * dphi) * (den * dnum).inverse(window=w)  # (rho/rho') phi'
+    phi_hat = (phi + (corr if corr_sign > 0 else -corr)).principal_part()
+    hat_num, hat_den = hat_num.with_var(var), hat_den.with_var(var)
+    return hat_num, hat_den, hat_num * hat_den.inverse(window=w), phi_hat.with_var(var)
+
+
+_FIELD_SCALARS = {
+    1: [ONE, rational(-2), rational("1/3"), rational("-3/4")],
+    3: [zeta(3), 1 + zeta(3), rational(-2) * zeta(3, 2), rational("1/2") - zeta(3)],
+    4: [zeta(4), 1 + zeta(4), rational(-3) * zeta(4), rational("1/3") - zeta(4)],
+}
+
+
+@st.composite
+def _chain_input(draw, chain):
+    p = draw(st.integers(1, 4))
+    q = draw(st.integers(p + 1, p + 3) if chain == "infinf" else st.integers(1, 4))
+    scalars = st.sampled_from(_FIELD_SCALARS[draw(st.sampled_from(sorted(_FIELD_SCALARS)))])
+    lower = draw(st.lists(st.integers(1 - q, -1), max_size=2, unique=True)) if q > 1 else []
+    phi = {e: draw(scalars) for e in [-q, *lower]}
+    reg = RegularPart([(draw(st.sampled_from([1, -1, 2])), 1)])
+    return El(S.monomial(p), S(phi), reg)
+
+
+@pytest.mark.parametrize("chain", [("0inf", "inf0"), ("infinf", "infinf")], ids="->".join)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cancelled_maps_match_the_uncancelled_formulas(chain, data):
+    el = data.draw(_chain_input(chain[0]))
+    num, den, phi = el.rho, S.one(), el.phi
+    for kind in chain:
+        transform, sign = _STEPS[kind][:2]
+        el = transform(el, sign)
+        num, den, rho, phi = _uncancelled(kind, num, den, phi)
+        src = el.rho_source
+        assert src.num * den == num * src.den
+        assert el.phi == phi
+        if el.rho.is_exact() and not rho.is_exact():
+            # cancelling d^2 left a Laurent polynomial, which expands exactly
+            assert len(src.den.coeffs) == 1 and el.rho.agrees_to_precision(rho)
+        else:
+            assert el.rho == rho  # coefficients and precision
+
+
+def test_chained_maps_keep_short_fractions():
+    el = El(S.monomial(2), S({-3: 1, -2: zeta(3), -1: 2}))
+    back = fourier_inf_0(fourier_0_inf(el, "-"), "+")
+    assert len(back.rho_source.den.coeffs) == 3  # 7 with d^2 left in
+    el = El(S.identity(), S({-4: 1, -2: zeta(4), -1: 2}))
+    twice = fourier_inf_inf(fourier_inf_inf(el, "+"), "-")
+    assert len(twice.rho_source.den.coeffs) == 2  # 8 with d^2 left in
 
 
 # ------------------------------------------------------ window independence

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -218,3 +221,16 @@ def test_every_traced_function_resolves():
             if not found:
                 missing.append(f"{layer}.{qual}")
     assert missing == []
+
+
+def test_import_loads_no_logging():
+    # the library reports through return values and exceptions; importing
+    # logging would cost every process that loads the package its memory
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, localfourier, localfourier.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'logging'))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert run.stdout.strip() == "[]"
