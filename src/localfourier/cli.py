@@ -221,6 +221,8 @@ def _cmd_z_zhat(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.grid:
+        if args.a is not None or args.q is not None:
+            raise DomainError("--a and --q only apply without --grid")
         for a in _GRID_A:
             for q in _GRID_Q:
                 report = oracle_check(a, q)

@@ -14,10 +14,9 @@ normal forms, and isomorphism testing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DomainError
 from .exactfield import ONE, FieldElement, adjoin_root, zeta
@@ -142,8 +141,7 @@ def pushforward_monodromy(j: RegularPart, p: int) -> RegularPart:
     return RegularPart(blocks)
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     slope: Fraction
     irregularity: int
     rank: int

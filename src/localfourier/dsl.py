@@ -32,9 +32,8 @@ series carry their 'O(u^N)' tail.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .connection import (
     ElementaryConnection,
@@ -57,8 +56,7 @@ _RESERVED = frozenset(
 # --------------------------------------------------------------------------
 # tokens
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME, INT, OPLUS, EOF, or the symbol itself
     text: str
     line: int
@@ -121,16 +119,14 @@ def _tokenize(text: str):
 # --------------------------------------------------------------------------
 # parsing
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     name: Optional[str]
     value: Union[FormalConnection, SingularityDatum]
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class ParsedDocument:
+class ParsedDocument(NamedTuple):
     statements: tuple
 
     @property

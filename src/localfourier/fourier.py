@@ -30,7 +30,6 @@ next to RegularPart in the connection module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .connection import (
@@ -60,16 +59,15 @@ def _is_one_series(f: LaurentSeries) -> bool:
     return f.is_exact() and len(f.coeffs) == 1 and 0 in f.coeffs and f.coeffs[0].is_one()
 
 
-@dataclass(frozen=True)
-class RationalMap:
+class RationalMap(NamedTuple):
     """A ratio num/den of Laurent polynomials, expandable on demand."""
 
     num: LaurentSeries
     den: LaurentSeries
 
     def expand(self, window: Optional[int] = None) -> LaurentSeries:
-        """Power-series expansion; exact whenever den is a monomial."""
-        return self.num * self.den.inverse(window=window)
+        """num/den by one division recurrence; exact whenever den is a monomial."""
+        return self.num.divide(self.den, window)
 
     def reciprocal(self) -> "RationalMap":
         if self.num.is_exactly_zero():
@@ -215,8 +213,7 @@ def _slope_one_twist(
 # ---------------------------------------------------------------- germs
 
 
-@dataclass(frozen=True)
-class RegularGermData:
+class RegularGermData(NamedTuple):
     """A regular germ at a point: nearby-cycle space with automorphism.
 
     psi holds the full space; phi is the image of T - Id with its induced

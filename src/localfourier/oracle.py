@@ -9,10 +9,9 @@ fourier module.  oracle_check compares the two routes stage by stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .connection import elementary
 from .dsl import render_scalar
@@ -143,8 +142,7 @@ class WeylOperator:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class LaplaceResult:
+class LaplaceResult(NamedTuple):
     """Substituted operator, denominators cleared.
 
     The transform of the input equals theta^(-theta_power) * operator;
@@ -283,8 +281,7 @@ def twist_operator(a: WeylOperator, phi: LaurentSeries) -> WeylOperator:
     return out
 
 
-@dataclass(frozen=True)
-class ResidueData:
+class ResidueData(NamedTuple):
     residue: FieldElement
     monodromy: Optional[FieldElement]
 
@@ -332,16 +329,14 @@ def regular_residue(a: WeylOperator) -> ResidueData:
 # --------------------------------------------------------------------------
 # the stage-by-stage comparison
 
-@dataclass(frozen=True)
-class OracleStage:
+class OracleStage(NamedTuple):
     name: str
     closed_form: str
     pipeline: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """The stages of one passing check; a failed stage raises instead."""
 
     a: FieldElement

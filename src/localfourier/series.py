@@ -13,9 +13,11 @@ working window.  The caller chooses it through the ``window`` argument;
 without one the default of working_window(0, 0) applies.  Both operands of
 arithmetic must share one variable.
 
-One power recurrence serves them all: for f = c u^v (1 + h), Miller's
-recurrence expands (1 + h)^alpha, which gives inverse and roots directly
-and, through the Lagrange-Buermann formula, reversion and substitution.
+Two recurrences serve them all, for f = c u^v (1 + h).  Quotients, the
+inverse among them, come from one division recurrence straight from the
+numerator's coefficients.  Miller's power recurrence expands (1 + h)^alpha,
+which gives roots directly and, through the Lagrange-Buermann formula,
+reversion and substitution.
 """
 
 from __future__ import annotations
@@ -225,10 +227,10 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * _coerce(other, self.var).inverse()
+        return self.divide(other)
 
     def __rtruediv__(self, other):
-        return _coerce(other, self.var) * self.inverse()
+        return _coerce(other, self.var).divide(self)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -254,18 +256,44 @@ class LaurentSeries:
     # -- the exact-to-infinite operations ----------------------------------
 
     def inverse(self, window: Optional[int] = None) -> "LaurentSeries":
-        """The multiplicative inverse 1/f.
+        """The multiplicative inverse 1/f: one divided by f, with divide's precision."""
+        return LaurentSeries.one(self.var).divide(self, window)
 
-        Exact monomials invert exactly; anything else is expanded, with the
-        relative precision of an inexact input preserved and an exact input
-        truncated at the working window.
+    def divide(self, den, window: Optional[int] = None) -> "LaurentSeries":
+        """The quotient self/den, by one division recurrence (TAOCP vol. 2, 4.7).
+
+        With den = c u^v (1 + h), q_k = a_k/c - sum_j h_j q_(k-j) straight from
+        self's coefficients a_k.  An exact monomial den divides exactly;
+        otherwise the relative precision is that of an inexact den, or the
+        window for an exact one, counted from the valuation of the quotient.
         """
-        if self.is_exactly_zero():
+        den = _coerce(den, self.var)
+        if den.is_exactly_zero():
             raise DomainError("division by the zero series")
-        return self._unit_power(Fraction(-1), window)
+        v = den.valuation()
+        c_inv = ONE / den.coeffs[v]
+        if len(den.coeffs) == 1 and den.prec is None:
+            table = {k - v: x * c_inv for k, x in self.coeffs.items()}
+            return LaurentSeries(table, None if self.prec is None else self.prec - v, self.var)
+        if self.is_exactly_zero():
+            return LaurentSeries.zero(self.var)
+        neg_h, rel = den._unit_part(-c_inv, window)
+        low = self._val_bound() - v
+        top = low + rel if self.prec is None else min(low + rel, self.prec - v)
+        q: list[FieldElement] = []
+        for k in range(top - low):
+            a = self.coeffs.get(low + v + k)
+            acc = ZERO if a is None else a * c_inv
+            for j, x in neg_h:
+                if j > k:
+                    break
+                if not q[k - j].is_zero():
+                    acc = acc + x * q[k - j]
+            q.append(acc)
+        return LaurentSeries({low + k: x for k, x in enumerate(q)}, top, self.var)
 
     def nth_root(self, m: int, window: Optional[int] = None) -> "LaurentSeries":
-        """The canonical m-th root; valuation must be divisible by m."""
+        """The canonical m-th root by Miller's recurrence; m must divide the valuation."""
         if m < 1:
             raise DomainError("root order must be a positive integer")
         if self.is_exactly_zero():
@@ -273,27 +301,20 @@ class LaurentSeries:
         v = self.valuation()
         if v % m:
             raise DomainError(f"valuation {v} is not divisible by {m}; root leaves the variable")
-        return self._unit_power(Fraction(1, m), window)
-
-    def _unit_power(self, alpha: Fraction, window: Optional[int]) -> "LaurentSeries":
-        # self^alpha = lead u^(v alpha) (1 + h)^alpha, alpha = -1 or 1/m, with
-        # lead 1/c or the canonical root of c; precision as in inverse
-        v = self.valuation()
         c = self.coeffs[v]
-        lead = ONE / c if alpha < 0 else adjoin_root(c, alpha.denominator)
-        s = int(v * alpha)
+        lead, s = adjoin_root(c, m), v // m
         if len(self.coeffs) == 1 and self.prec is None:
             return LaurentSeries.monomial(s, lead, self.var)
-        h, rel = self._unit_part(lead if alpha < 0 else ONE / c, window)
-        b = _miller(h, alpha, rel)
+        h, rel = self._unit_part(ONE / c, window)
+        b = _miller(h, Fraction(1, m), rel)
         return LaurentSeries({s + k: lead * x for k, x in enumerate(b)}, s + rel, self.var)
 
     def _unit_part(self, c_inv: FieldElement, window: Optional[int]):
         """Write self = c u^v (1 + h); return the terms (j, h_j) of h and rel.
 
-        c_inv is 1/c.  rel is the relative precision: that of an inexact
-        input, or the window (by default working_window(0, 0)) for an exact
-        one.  h is cut below it.
+        c_inv is 1/c (divide passes -1/c to get the terms of -h).  rel is
+        the relative precision: that of an inexact input, or the window (by
+        default working_window(0, 0)) for an exact one.  h is cut below it.
         """
         v = self.valuation()
         if self.prec is not None:

@@ -214,6 +214,14 @@ def test_oracle_grid(run):
     assert all("all stages agree" in line for line in out.splitlines())
 
 
+def test_oracle_grid_refuses_a_and_q(run):
+    # the grid fixes its own pole data; a flag it would ignore is an error
+    for extra in (["--a", "3", "--q", "2"], ["--a", "3"], ["--q", "2"]):
+        code, out, err = run(["oracle-check", "--grid", *extra])
+        assert code == 1 and out == ""
+        assert "--a and --q only apply without --grid" in err
+
+
 def test_internal_error_exit_3(run, monkeypatch):
     def boom(a, q):
         raise InternalError("stage check failed")

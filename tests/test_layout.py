@@ -225,12 +225,15 @@ def test_every_traced_function_resolves():
 
 def test_import_loads_no_logging():
     # the library reports through return values and exceptions; importing
-    # logging would cost every process that loads the package its memory
+    # logging would cost every process that loads the package its memory.
+    # Likewise dataclasses, which pulls in inspect and ast: the value
+    # classes are NamedTuples, so the import footprint stays small
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    heavy = ("logging", "dataclasses", "inspect", "ast")
     run = subprocess.run(
         [sys.executable, "-c",
          "import sys, localfourier, localfourier.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'logging'))"],
+         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}))"],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert run.stdout.strip() == "[]"

@@ -1,17 +1,19 @@
-"""The power recurrence against the route it replaced.
+"""The series recurrences against the routes they replaced.
 
-The series layer expands inverses and roots by Miller's recurrence, and
-reverses series and normalizes ramification by Lagrange-Buermann.  The
-reference below is the earlier code: the binomial series summed over
-explicit truncated powers h^k, Newton reversion over a bounded Horner
-composition, and normalization as a p-th root of rho, then its reversion,
-then composition of phi with it.  Both routes must agree exactly, in the
-coefficients and in the stated precision.
+The series layer expands quotients and inverses by one division
+recurrence, roots by Miller's recurrence, and reverses series and
+normalizes ramification by Lagrange-Buermann.  The reference below is the
+earlier code: the binomial series summed over explicit truncated powers
+h^k, a quotient as the numerator times that inverse, Newton reversion over
+a bounded Horner composition, and normalization as a p-th root of rho,
+then its reversion, then composition of phi with it.  Both routes must
+agree exactly, in the coefficients and in the stated precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -146,12 +148,26 @@ def _scalar(draw, nonzero=False):
     return x
 
 
+# Q, Q(zeta_3), Q(zeta_4) and Q(root(2,2)), each as a + b * generator
+_GENERATORS = (None, zeta(3), zeta(4), adjoin_root(2, 2))
+
+
 @st.composite
-def _series(draw, val, inexact):
+def _in_field(draw, gen, nonzero=False):
+    x = FieldElement.from_any(draw(_rationals))
+    if gen is not None:
+        x = x + gen * draw(_rationals)
+    if nonzero and x.is_zero():
+        return ONE
+    return x
+
+
+@st.composite
+def _series(draw, val, inexact, scalar=_scalar):
     """c u^val (1 + h): nonzero lead, sparse h, optionally cut at a prec."""
-    table = {val: draw(_scalar(nonzero=True))}
+    table = {val: draw(scalar(nonzero=True))}
     for j in draw(st.lists(st.integers(1, 6), max_size=3, unique=True)):
-        table[val + j] = draw(_scalar())
+        table[val + j] = draw(scalar())
     prec = val + draw(st.integers(1, 9)) if inexact else None
     return S(table, prec)
 
@@ -166,6 +182,35 @@ _windows = st.one_of(st.none(), st.integers(1, 12))
 def test_inverse_matches_the_binomial_route(val, inexact, window, data):
     f = data.draw(_series(val, inexact))
     assert f.inverse(window=window) == ref_inverse(f, window=window)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(_GENERATORS),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from(["series", "zero num", "monomial den"]),
+    _windows,
+    st.data(),
+)
+def test_divide_matches_the_product_with_the_reference_inverse(
+    gen, nval, dval, num_inexact, den_inexact, shape, window, data
+):
+    scalar = partial(_in_field, gen)
+    num = data.draw(_series(nval, num_inexact, scalar))
+    den = data.draw(_series(dval, den_inexact, scalar))
+    if shape == "zero num":  # exactly zero, or zero to a precision
+        num = S({}, num.prec)
+    elif shape == "monomial den":
+        den = S({dval: den.coeffs[dval]}, den.prec)
+    expected = num * ref_inverse(den, window=window)
+    out = num.divide(den, window)
+    assert out.coeffs == expected.coeffs and out.prec == expected.prec
+    assert den.inverse(window=window) == ref_inverse(den, window=window)
+    if window is None:
+        assert num / den == expected
 
 
 @settings(max_examples=60, deadline=None)
