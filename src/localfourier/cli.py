@@ -2,8 +2,8 @@
 
 Reads connection documents in the text format of the dsl module (a file
 path or '-' for stdin) and dispatches to the library.  Exit codes: 0 on
-success, 1 when a precondition fails, 2 on malformed input, 3 when an
-internal invariant breaks.
+success, 1 when a precondition fails, 2 on malformed input (input that does
+not decode included), 3 when an internal invariant breaks.
 """
 
 from __future__ import annotations
@@ -33,11 +33,16 @@ _GRID_Q = range(1, 6)
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
+    except UnicodeDecodeError as e:
+        # malformed input, located at the first byte that does not decode
+        before = e.object[:e.start].decode(e.encoding)
+        line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise ParseError(f"cannot decode the input as {e.encoding}: {e.reason}", line, col)
     except OSError as e:
         raise DomainError(f"cannot read {path}: {e.strerror or e}")
 

@@ -17,8 +17,12 @@ Grammar, roughly:
     jordan    := '[' [entry (',' entry)*] ']'
     entry     := '(' ('res' ':' rational | scalar) ':' INT ')'
 
-'#' starts a comment running to the end of the line.  A bare conn with no
-name and no ';' is accepted as a one-expression document (handy on stdin).
+'#' starts a comment running to the end of the line.  INT is ASCII digits
+only; any other digit is an unexpected character, while NAME may hold any
+letter.  A bare conn with no name and no ';' is accepted as a
+one-expression document (handy on stdin).  Tokens carry no position: the
+line and column of one are computed from the text only for a ParseError or
+a Statement.
 Sing keys are summands/germ at a finite point and gt1/eq1/lt1/reg at
 infinity; eq1 holds entries '(shat=' scalar [', els=' conn] [', R=' jordan]
 ')'.  'res:r' in an eigenvalue position abbreviates e^(2 pi i r).
@@ -32,6 +36,7 @@ series carry their 'O(u^N)' tail.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -56,64 +61,48 @@ _RESERVED = frozenset(
 # --------------------------------------------------------------------------
 # tokens
 
-class _Token(NamedTuple):
-    kind: str  # NAME, INT, OPLUS, EOF, or the symbol itself
-    text: str
-    line: int
-    col: int
-
-
+# A token is its own text: '(+)', a symbol, an INT of ASCII digits or a NAME,
+# and '' ends the input.  Blanks and '#' comments lead each match; a comment
+# is skipped whole, up to its newline or the end of the text.
+_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*(?!.))*(\(\+\)|[0-9]+|\w+|[^ \t\r\n#]|\Z)")
+_ASCII_TOKENS = re.compile(r"[\w=;()\[\],:^*/+-]*", re.ASCII)
 _SYMBOLS = set("=;()[],:^*/+-")
 
 
-def _tokenize(text: str):
-    toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("(+)", i):
-            toks.append(_Token("OPLUS", "(+)", line, col))
-            i += 3
-            col += 3
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("EOF", "", line, col))
+def _tokenize(text: str) -> list[str]:
+    toks = _TOKEN.findall(text)
+    if not _ASCII_TOKENS.fullmatch("".join(toks)):
+        # names may hold any letter; any other character is refused
+        for m in _TOKEN.finditer(text):
+            if m[1] == "(+)" or m[1] in _SYMBOLS:
+                continue
+            for k, ch in enumerate(m[1]):
+                if not (ch.isalpha() or ch == "_" or "0" <= ch <= "9"):
+                    raise ParseError(f"unexpected character {ch!r}", *_line_col(text, m.start(1) + k))
     return toks
+
+
+def _is_name(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _locate(text: str, indices: list[int]) -> list[tuple[int, int]]:
+    """Line and column of the tokens of `text` at `indices` (ascending), in one pass."""
+    out = []
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == indices[len(out)]:
+            offset = m.start(1)
+            if not m[1]:
+                # the end of input stands before a comment that runs to the end
+                comment = text.find("#", max(m.start(), text.rfind("\n") + 1))
+                offset = comment if comment >= 0 else offset
+            out.append(_line_col(text, offset))
+            if len(out) == len(indices):
+                return out
 
 
 # --------------------------------------------------------------------------
@@ -154,147 +143,149 @@ class ParsedDocument(NamedTuple):
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.var: Optional[str] = None
 
     # -- machinery ---------------------------------------------------------
+    # tokens are addressed by index; only an error or a statement asks for
+    # the line and column of one
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> str:
+        return self.toks[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+    def advance(self) -> int:
+        self.pos += 1
+        return self.pos - 1
 
-    def at(self, kind: str, text: Optional[str] = None, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == kind and (text is None or tok.text == text)
+    def at(self, text: str, ahead: int = 0) -> bool:
+        return self.toks[self.pos + ahead] == text
 
-    def fail(self, msg: str, tok: Optional[_Token] = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+    def fail(self, msg: str, index: Optional[int] = None):
+        [where] = _locate(self.text, [self.pos if index is None else index])
+        raise ParseError(msg, *where)
 
-    def expect(self, kind: str, what: Optional[str] = None) -> _Token:
-        if not self.at(kind):
-            got = self.peek()
-            shown = got.text or "end of input"
-            self.fail(f"expected {what or kind!r}, found {shown!r}")
+    def _expect_if(self, ok: bool, what: str) -> int:
+        if not ok:
+            self.fail(f"expected {what!r}, found {self.peek() or 'end of input'!r}")
         return self.advance()
 
-    def expect_word(self, word: str):
-        tok = self.peek()
-        if tok.kind != "NAME" or tok.text != word:
-            self.fail(f"expected {word!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+    def expect(self, text: str, what: Optional[str] = None) -> int:
+        return self._expect_if(self.peek() == text, what or text)
 
-    def _build(self, tok: _Token, ctor, *args, **kwargs):
+    def expect_name(self, what: str) -> int:
+        return self._expect_if(_is_name(self.peek()), what)
+
+    def expect_int(self, what: str) -> int:
+        return self._expect_if(self.peek().isdigit(), what)
+
+    def _build(self, index: int, ctor, *args, **kwargs):
         # constructor preconditions become located parse errors
         try:
             return ctor(*args, **kwargs)
         except ParseError:
             raise
         except DomainError as e:
-            self.fail(str(e), tok)
+            self.fail(str(e), index)
 
     # -- documents ---------------------------------------------------------
 
     def parse_document(self) -> ParsedDocument:
-        if self.at("EOF"):
+        if self.at(""):
             self.fail("empty document")
-        if self.at("NAME") and self.at("=", ahead=1):
+        if _is_name(self.peek()) and self.at("=", ahead=1):
             stmts = []
             names = set()
-            while not self.at("EOF"):
-                tok = self.expect("NAME", "a statement name")
-                if tok.text in _RESERVED:
-                    self.fail(f"{tok.text!r} is a reserved word", tok)
-                if tok.text in names:
-                    self.fail(f"duplicate name {tok.text!r}", tok)
-                names.add(tok.text)
+            starts = []
+            while not self.at(""):
+                k = self.expect_name("a statement name")
+                name = self.toks[k]
+                if name in _RESERVED:
+                    self.fail(f"{name!r} is a reserved word", k)
+                if name in names:
+                    self.fail(f"duplicate name {name!r}", k)
+                names.add(name)
                 self.expect("=")
-                if self.at("NAME", "Sing"):
+                if self.at("Sing"):
                     value = self.parse_sing()
                 else:
                     value = self.parse_conn()
                 self.expect(";", "';'")
-                stmts.append(Statement(tok.text, value, tok.line, tok.col))
-            if not stmts:
-                self.fail("empty document")
-            return ParsedDocument(tuple(stmts))
-        tok = self.peek()
-        value = self.parse_sing() if self.at("NAME", "Sing") else self.parse_conn()
+                stmts.append((name, value))
+                starts.append(k)
+            return ParsedDocument(tuple(
+                Statement(name, value, *where)
+                for (name, value), where in zip(stmts, _locate(self.text, starts))
+            ))
+        value = self.parse_sing() if self.at("Sing") else self.parse_conn()
         if self.at(";"):
             self.advance()
-        self.expect("EOF", "end of input")
-        return ParsedDocument((Statement(None, value, tok.line, tok.col),))
+        self.expect("", "end of input")
+        [where] = _locate(self.text, [0])
+        return ParsedDocument((Statement(None, value, *where),))
 
     # -- connections -------------------------------------------------------
 
     def parse_conn(self) -> FormalConnection:
         terms = [self.parse_term()]
-        while self.at("OPLUS"):
+        while self.at("(+)"):
             self.advance()
             terms.append(self.parse_term())
         return FormalConnection(tuple(terms))
 
     def parse_term(self) -> ElementaryConnection:
-        tok = self.peek()
-        if self.at("NAME", "El"):
+        k = self.pos
+        if self.at("El"):
             self.advance()
             self.expect("(")
-            self.expect_word("rho")
+            self.expect("rho")
             self.expect("=")
             rho = self.parse_series()
             self.expect(",")
-            self.expect_word("phi")
+            self.expect("phi")
             self.expect("=")
             phi = self.parse_series()
             self.expect(",")
-            self.expect_word("R")
+            self.expect("R")
             self.expect("=")
             reg = self.parse_jordan()
             self.expect(")")
             if rho.is_zero_to_precision():
-                self.fail("rho must vanish to order at least one", tok)
+                self.fail("rho must vanish to order at least one", k)
             if not rho.coeffs.get(0, ZERO).is_zero():
-                self.fail("constant term in rho", tok)
-            return self._build(tok, elementary, rho, phi, reg)
-        if self.at("NAME", "Reg"):
+                self.fail("constant term in rho", k)
+            return self._build(k, elementary, rho, phi, reg)
+        if self.at("Reg"):
             self.advance()
             self.expect("(")
-            self.expect_word("R")
+            self.expect("R")
             self.expect("=")
             reg = self.parse_jordan()
             self.expect(")")
-            return self._build(tok, regular_connection, reg)
+            return self._build(k, regular_connection, reg)
         self.fail("expected El(...) or Reg(...)")
 
     # -- series ------------------------------------------------------------
 
-    def _use_var(self, tok: _Token) -> str:
-        if tok.text in _RESERVED:
-            self.fail(f"{tok.text!r} is a reserved word", tok)
+    def _use_var(self, k: int) -> str:
+        name = self.toks[k]
+        if name in _RESERVED:
+            self.fail(f"{name!r} is a reserved word", k)
         if self.var is None:
-            self.var = tok.text
-        elif tok.text != self.var:
-            self.fail(
-                f"series variable {tok.text!r} conflicts with {self.var!r}", tok
-            )
-        return tok.text
+            self.var = name
+        elif name != self.var:
+            self.fail(f"series variable {name!r} conflicts with {self.var!r}", k)
+        return name
 
     def _exponent(self) -> int:
         # after '^': an integer, explicitly signed or not
-        neg = False
-        if self.at("-"):
+        neg = self.at("-")
+        if neg:
             self.advance()
-            neg = True
-        tok = self.expect("INT", "an integer exponent")
+        val = int(self.toks[self.expect_int("an integer exponent")])
         if self.at("/"):
             self.fail("non-integer exponent")
-        val = int(tok.text)
         return -val if neg else val
 
     def parse_series(self) -> LaurentSeries:
@@ -305,13 +296,11 @@ class _Parser:
             self.advance()
             sign = -1
         while True:
-            if self.at("NAME", "O") and self.at("(", ahead=1):
+            if self.at("O") and self.at("(", ahead=1):
                 if sign < 0:
                     self.fail("the O tail cannot be subtracted")
-                self.advance()
-                self.advance()
-                var_tok = self.expect("NAME", "the series variable")
-                self._use_var(var_tok)
+                self.pos += 2
+                self._use_var(self.expect_name("the series variable"))
                 self.expect("^")
                 prec = self._exponent()
                 self.expect(")")
@@ -321,7 +310,7 @@ class _Parser:
             exp, coeff = self.parse_monomial()
             if sign < 0:
                 coeff = -coeff
-            coeffs[exp] = coeffs.get(exp, ZERO) + coeff
+            coeffs[exp] = coeffs[exp] + coeff if exp in coeffs else coeff
             if self.at("+"):
                 self.advance()
                 sign = 1
@@ -333,109 +322,105 @@ class _Parser:
         return LaurentSeries(coeffs, prec, self.var or "u")
 
     def parse_monomial(self) -> tuple[int, FieldElement]:
-        coeff = ONE
+        coeff: Optional[FieldElement] = None
         exp: Optional[int] = None
         while True:
             tok = self.peek()
-            if tok.kind == "NAME" and tok.text not in ("zeta", "root", "i"):
-                self.advance()
-                self._use_var(tok)
+            if _is_name(tok) and tok not in ("zeta", "root", "i"):
+                k = self.advance()
+                self._use_var(k)
                 if exp is not None:
-                    self.fail("two variable factors in one term", tok)
+                    self.fail("two variable factors in one term", k)
                 if self.at("^"):
                     self.advance()
                     exp = self._exponent()
                 else:
                     exp = 1
             else:
-                coeff = coeff * self._scalar_atom()
+                atom = self._scalar_atom()
+                coeff = atom if coeff is None else coeff * atom
             if self.at("*"):
                 self.advance()
             else:
                 break
-        return (0 if exp is None else exp, coeff)
+        return (0 if exp is None else exp, ONE if coeff is None else coeff)
 
     # -- scalars -----------------------------------------------------------
 
     def parse_scalar(self) -> FieldElement:
-        total = ZERO
-        sign = 1
-        if self.at("-"):
+        total: Optional[FieldElement] = None
+        neg = self.at("-")
+        if neg:
             self.advance()
-            sign = -1
         while True:
             value = self._scalar_atom()
             while self.at("*"):
                 self.advance()
                 value = value * self._scalar_atom()
-            total = total + (value if sign > 0 else -value)
-            if self.at("+"):
+            if neg:
+                value = -value
+            total = value if total is None else total + value
+            neg = self.at("-")
+            if neg or self.at("+"):
                 self.advance()
-                sign = 1
-            elif self.at("-"):
-                self.advance()
-                sign = -1
             else:
                 return total
 
     def _rational(self) -> Fraction:
-        neg = False
-        if self.at("-"):
+        neg = self.at("-")
+        if neg:
             self.advance()
-            neg = True
-        tok = self.expect("INT", "a number")
-        num = int(tok.text)
+        num = int(self.toks[self.expect_int("a number")])
         den = 1
         if self.at("/"):
             self.advance()
-            den_tok = self.expect("INT", "a denominator")
-            den = int(den_tok.text)
+            k = self.expect_int("a denominator")
+            den = int(self.toks[k])
             if den == 0:
-                self.fail("zero denominator", den_tok)
+                self.fail("zero denominator", k)
         frac = Fraction(num, den)
         return -frac if neg else frac
 
     def _scalar_atom(self) -> FieldElement:
         tok = self.peek()
-        if tok.kind == "INT":
+        if tok.isdigit():
             return FieldElement.from_any(self._rational())
-        if tok.kind == "(":
+        if tok == "(":
             self.advance()
             value = self.parse_scalar()
             self.expect(")")
             return value
-        if tok.kind == "NAME" and tok.text == "i":
+        if tok == "i":
             self.advance()
             return zeta(4)
-        if tok.kind == "NAME" and tok.text == "zeta":
+        if tok == "zeta":
             self.advance()
             self.expect("(")
-            order_tok = self.expect("INT", "a root-of-unity order")
-            order = int(order_tok.text)
+            k = self.expect_int("a root-of-unity order")
             self.expect(")")
-            value = self._build(order_tok, zeta, order)
+            value = self._build(k, zeta, int(self.toks[k]))
             return self._maybe_power(value)
-        if tok.kind == "NAME" and tok.text == "root":
+        if tok == "root":
             self.advance()
             self.expect("(")
             inner = self.parse_scalar()
             self.expect(",")
-            m_tok = self.expect("INT", "a root order")
+            k = self.expect_int("a root order")
             self.expect(")")
-            value = self._build(m_tok, adjoin_root, inner, int(m_tok.text))
+            value = self._build(k, adjoin_root, inner, int(self.toks[k]))
             return self._maybe_power(value)
-        self.fail(f"expected a scalar, found {tok.text or 'end of input'!r}")
+        self.fail(f"expected a scalar, found {tok or 'end of input'!r}")
 
     def _maybe_power(self, value: FieldElement) -> FieldElement:
         if self.at("^"):
-            tok = self.advance()
-            return self._build(tok, value.__pow__, self._exponent())
+            k = self.advance()
+            return self._build(k, value.__pow__, self._exponent())
         return value
 
     # -- Jordan data -------------------------------------------------------
 
     def parse_jordan(self) -> RegularPart:
-        open_tok = self.expect("[", "'['")
+        k = self.expect("[", "'['")
         blocks = []
         if not self.at("]"):
             while True:
@@ -445,35 +430,34 @@ class _Parser:
                 else:
                     break
         self.expect("]", "']'")
-        return self._build(open_tok, RegularPart, blocks)
+        return self._build(k, RegularPart, blocks)
 
     def _jordan_entry(self) -> tuple[FieldElement, int]:
         self.expect("(")
-        tok = self.peek()
-        if self.at("NAME", "res") and self.at(":", ahead=1):
-            self.advance()
-            self.advance()
+        k = self.pos
+        if self.at("res") and self.at(":", ahead=1):
+            self.pos += 2
             eig = exp2pi(self._rational())
         else:
             eig = self.parse_scalar()
         if eig.is_zero():
-            self.fail("zero eigenvalue", tok)
+            self.fail("zero eigenvalue", k)
         self.expect(":")
-        size_tok = self.expect("INT", "a block size")
-        size = int(size_tok.text)
+        k = self.expect_int("a block size")
+        size = int(self.toks[k])
         if size < 1:
-            self.fail("block sizes must be positive", size_tok)
+            self.fail("block sizes must be positive", k)
         self.expect(")")
         return eig, size
 
     # -- singularity data --------------------------------------------------
 
     def parse_sing(self) -> SingularityDatum:
-        head = self.expect_word("Sing")
+        head = self.expect("Sing")
         self.expect("(")
-        self.expect_word("at")
+        self.expect("at")
         self.expect("=")
-        if self.at("NAME", "infinity"):
+        if self.at("infinity"):
             self.advance()
             location = INFINITY
         else:
@@ -481,10 +465,10 @@ class _Parser:
         fields: dict[str, object] = {}
         while self.at(","):
             self.advance()
-            key_tok = self.expect("NAME", "a field name")
-            key = key_tok.text
+            k = self.expect_name("a field name")
+            key = self.toks[k]
             if key in fields:
-                self.fail(f"duplicate field {key!r}", key_tok)
+                self.fail(f"duplicate field {key!r}", k)
             self.expect("=")
             if key in ("summands", "gt1", "lt1"):
                 fields[key] = self.parse_conn().summands
@@ -495,7 +479,7 @@ class _Parser:
             elif key == "eq1":
                 fields[key] = self._eq1_entries()
             else:
-                self.fail(f"unknown field {key!r}", key_tok)
+                self.fail(f"unknown field {key!r}", k)
         self.expect(")")
         return self._build(
             head,
@@ -515,21 +499,21 @@ class _Parser:
         if not self.at("]"):
             while True:
                 self.expect("(")
-                self.expect_word("shat")
+                self.expect("shat")
                 self.expect("=")
                 shat = self.parse_scalar()
                 els = ()
                 reg = None
                 while self.at(","):
                     self.advance()
-                    key_tok = self.expect("NAME", "'els' or 'R'")
+                    k = self.expect_name("'els' or 'R'")
                     self.expect("=")
-                    if key_tok.text == "els":
+                    if self.toks[k] == "els":
                         els = self.parse_conn().summands
-                    elif key_tok.text == "R":
+                    elif self.toks[k] == "R":
                         reg = self.parse_jordan()
                     else:
-                        self.fail(f"unknown entry field {key_tok.text!r}", key_tok)
+                        self.fail(f"unknown entry field {self.toks[k]!r}", k)
                 self.expect(")")
                 entries.append((shat, els, reg))
                 if self.at(","):
@@ -547,7 +531,7 @@ def parse(text: str) -> ParsedDocument:
 def parse_scalar_text(text: str) -> FieldElement:
     p = _Parser(text)
     value = p.parse_scalar()
-    p.expect("EOF", "end of input")
+    p.expect("", "end of input")
     return value
 
 

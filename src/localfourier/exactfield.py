@@ -34,6 +34,12 @@ linear solve; the only caches here are keyed by a cyclotomic order.
 A rational operand (order 1) is scaled in or added to coordinate 0 in place,
 never lifted, and radical_parts is the only coordinate view outside this
 module.
+
+A rational value also carries itself as a bare Fraction.  When every
+operand is rational, division, equality, is_one, as_rational and sort keys
+work on those Fractions alone and skip the coordinate layer; they return
+exactly what the coordinates would.  Sums and products keep the coordinate
+path for now (see ROADMAP, "The `population` ceiling").
 """
 
 from __future__ import annotations
@@ -130,10 +136,6 @@ class _Cyc:
     def __init__(self, n: int, c: tuple[Fraction, ...]):
         self.n = n
         self.c = c
-
-    @staticmethod
-    def from_rational(x: Fraction) -> "_Cyc":
-        return _Cyc(1, (x,)) if x else _CYC_ZERO
 
     @staticmethod
     def from_powers(n: int, powers: dict[int, Fraction]) -> "_Cyc":
@@ -301,11 +303,16 @@ def _gen_level(key) -> int:
 class FieldElement:
     """An exact scalar: cyclotomic combination of radical monomials."""
 
-    __slots__ = ("_terms", "_key_cache")
+    __slots__ = ("_terms", "_key_cache", "_q")
 
     def __init__(self, terms: dict[_Monomial, _Cyc]):
         self._terms = {m: c for m, c in terms.items() if not c.is_zero()}
         self._key_cache = None
+        # _q: the value as a Fraction if it is rational, else None; rational
+        # means no radical term and coordinates (r, 0, ...) in the basis 1, zeta, ...
+        c = self._terms.get(_TRIVIAL_MONO, _CYC_ZERO)
+        alone = len(self._terms) == (0 if c is _CYC_ZERO else 1)
+        self._q = c.c[0] if alone and not any(c.c[1:]) else None
 
     # -- constructors ------------------------------------------------------
 
@@ -314,7 +321,7 @@ class FieldElement:
         if isinstance(x, FieldElement):
             return x
         if isinstance(x, (int, Fraction)):
-            return FieldElement({_TRIVIAL_MONO: _Cyc.from_rational(Fraction(x))})
+            return _of_fraction(Fraction(x))
         raise DomainError(f"cannot coerce {type(x).__name__} into the scalar field")
 
     # -- predicates and views ---------------------------------------------
@@ -323,18 +330,13 @@ class FieldElement:
         return not self._terms
 
     def is_one(self) -> bool:
-        return self == ONE
+        return self._q == 1
 
     def is_rational(self) -> bool:
-        return self.as_rational() is not None
+        return self._q is not None
 
     def as_rational(self) -> Optional[Fraction]:
-        if not self._terms:
-            return _ZERO
-        if self.has_radicals():
-            return None
-        c = _cyc_contract(self._terms[_TRIVIAL_MONO])
-        return c.c[0] if c.n == 1 else None
+        return self._q
 
     def has_radicals(self) -> bool:
         return any(self._terms)
@@ -429,10 +431,13 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * FieldElement.from_any(other)._invert()
+        other = FieldElement.from_any(other)
+        if self._q is not None and other._q:
+            return _of_fraction(self._q / other._q)
+        return self * other._invert()
 
     def __rtruediv__(self, other):
-        return FieldElement.from_any(other) * self._invert()
+        return FieldElement.from_any(other) / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -453,6 +458,8 @@ class FieldElement:
             other = FieldElement.from_any(other)
         except DomainError:
             return NotImplemented
+        if self._q is not None and other._q is not None:
+            return self._q == other._q
         return (self - other).is_zero()
 
     def __hash__(self):
@@ -504,6 +511,9 @@ class FieldElement:
 
     def sort_key(self) -> tuple:
         """A total, representation-independent ordering key."""
+        if self._key_cache is None and self._q is not None:
+            # the general key of a rational r: one term, (), order 1, (r,)
+            self._key_cache = (1, (((), 1, (self._q,)),)) if self._q else (0, ())
         if self._key_cache is None:
             parts = []
             for mono in sorted(self._terms, key=_mono_key):
@@ -549,6 +559,15 @@ def _mul_monomials(m1: _Monomial, c1: _Cyc, m2: _Monomial, c2: _Cyc) -> FieldEle
         overflow = extra if overflow is None else overflow * extra
     base = FieldElement({mono: _cyc_mul(c1, c2)})
     return base if overflow is None else base * overflow
+
+
+def _of_fraction(q: Fraction) -> FieldElement:
+    # the rational q, built without the zero filter and the rationality test
+    out = object.__new__(FieldElement)
+    out._terms = {_TRIVIAL_MONO: _Cyc(1, (q,))} if q else {}
+    out._key_cache = None
+    out._q = q
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -295,3 +295,27 @@ def test_corpus_valid_connections_print(run):
             assert "no connection" in err
         else:
             assert code == 0, path.name
+
+
+def test_non_ascii_digit_exit_2_with_location(run):
+    code, out, err = run(["canon", "-"], stdin="El(rho=u^², phi=1/1*u^-1, R=[(1:1)])")
+    assert code == 2 and out == ""
+    assert err == "parse error: 1:10: unexpected character '²'\n"
+    code, _, err = run(["canon", "-"], stdin="El(rho=u, phi=1/1*u^-١, R=[(1:1)])")
+    assert code == 2 and err.startswith("parse error: 1:22: ")
+
+
+def test_undecodable_file_exit_2_with_location(run, tmp_path):
+    path = tmp_path / "bad.conn"
+    path.write_bytes(b"a = Reg(R=[(1:1)]);\nb = Reg(R=[(\xc3\xa9\xff:1)]);\n")
+    code, out, err = run(["canon", str(path)])
+    assert code == 2 and out == ""
+    assert err == "parse error: 2:14: cannot decode the input as utf-8: invalid start byte\n"
+
+
+def test_undecodable_stdin_exit_2_with_location(run, monkeypatch):
+    raw = io.BytesIO(b"El(rho=u, phi=\xff*u^-1, R=[(1:1)])")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+    code, out, err = run(["canon", "-"])
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: 1:15: cannot decode the input as utf-8")

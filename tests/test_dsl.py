@@ -257,3 +257,115 @@ def test_corpus_malformed(path):
         parse(path.read_text())
     assert exc.value.line >= 1 and exc.value.column >= 1
     assert re.match(r"^\d+:\d+: ", str(exc.value))
+
+
+# -- pinned locations --------------------------------------------------------
+# Recorded from the tokenizer that counted lines and columns as it went, so
+# locations computed on demand cannot drift from them.
+
+MALFORMED_ERRORS = {
+    "m01_unclosed": "1:34: expected ')', found 'end of input'",
+    "m02_rho_constant": "1:1: constant term in rho",
+    "m03_fraction_exponent": "1:23: non-integer exponent",
+    "m04_zero_eigenvalue": "1:29: zero eigenvalue",
+    "m05_zero_size": "1:31: block sizes must be positive",
+    "m06_bad_char": "1:21: unexpected character '%'",
+    "m07_missing_semicolon": "2:1: expected \"';'\", found 'b'",
+    "m08_reserved_name": "1:1: 'zeta' is a reserved word",
+    "m09_duplicate_name": "2:1: duplicate name 'a'",
+    "m10_unknown_field": "1:16: unknown field 'slope'",
+    "m11_missing_shat": "1:29: expected 'shat', found 'els'",
+    "m12_empty": "2:1: empty document",
+    "m13_two_letters": "1:19: series variable 'v' conflicts with 'u'",
+    "m14_zero_denominator": "1:17: zero denominator",
+    "m15_terms_after_tail": "1:22: terms after the O tail",
+}
+
+STATEMENT_LOCATIONS = {
+    "07_named_many": [(1, 1), (2, 1), (3, 1)],
+    "28_document_pair": [(1, 1), (2, 1), (3, 1)],
+    "29_comments": [(2, 1)],
+}
+
+LOCATED_ERRORS = [
+    ("a = Reg(R=[(1:1)]) # no semicolon", "1:20: expected \"';'\", found 'end of input'"),
+    ("a = Reg(R=[(1:1)]);\n\n  # c\n   b = Reg(R=[(1:1)]) @", "4:23: unexpected character '@'"),
+    ("\n\n   El(rho=u, phi=u^-1, R=[(1:1)] ", "3:34: expected ')', found 'end of input'"),
+    ("El(rho=u^2\t+ 1, phi=u^-1, R=[(1:1)])", "1:1: constant term in rho"),
+    ("a = Reg(R=[(1:1)]);\r\nb = El(rho=u, phi=u^-1, R=[(0:1)]);", "2:29: zero eigenvalue"),
+    ("El(rho=u, phi=zeta(0)*u^-1, R=[(1:1)])", "1:20: zeta order must be a positive integer"),
+    ("El(rho=u, phi=root(0,0)*u^-1, R=[(1:1)])", "1:22: root order must be a positive integer"),
+    ("El(rho=u, phi=2^3*u^-1, R=[(1:1)])", "1:16: expected ',', found '^'"),
+    (
+        "Sing(at=0, summands=El(rho=u, phi=u^-1, R=[(1:1)]), germ=[(1:1)], germ=[(2:1)])",
+        "1:67: duplicate field 'germ'",
+    ),
+    ("  # only a comment", "1:3: empty document"),
+    ("", "1:1: empty document"),
+    ("a = Reg(R=[(1:1)]);\nEl = Reg(R=[(1:1)]);", "2:1: 'El' is a reserved word"),
+    ("El(rho=uü, phi=u^-1, R=[(1:1)])", "1:16: series variable 'u' conflicts with 'uü'"),
+    ("El(rho=u, phi=u^-1, R=[(1:1)]) ; x", "1:34: expected 'end of input', found 'x'"),
+    ("El(rho=u, phi=(1 + zeta(3)*u^-1, R=[(1:1)])", "1:28: expected a scalar, found 'u'"),
+    ("El(rho=u, phi=u^-1, R=[(1:1)]) (+) ", "1:36: expected El(...) or Reg(...)"),
+    ("El(rho=u, phi=u^-1 + O(u^2) + u, R=[(1:1)])", "1:29: terms after the O tail"),
+    ("Sing(at=infinity, eq1=[(shat=1, foo=2)])", "1:33: unknown entry field 'foo'"),
+    ("El(rho=u, phi=u^-1, R=[(1:1)])\n\n\t\t)", "3:3: expected 'end of input', found ')'"),
+    ("El(rho=u, phi=u^-2/3, R=[(1:1)])", "1:19: non-integer exponent"),
+    ("El(rho=x, phi=u^-1, R=[(1:1)])", "1:15: series variable 'u' conflicts with 'x'"),
+]
+
+
+@pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.stem)
+def test_corpus_malformed_message_is_pinned(path):
+    with pytest.raises(ParseError) as exc:
+        parse(path.read_text())
+    assert str(exc.value) == MALFORMED_ERRORS[path.stem]
+
+
+def test_corpus_statement_locations_are_pinned():
+    for path in VALID:
+        found = [(s.line, s.col) for s in parse(path.read_text()).statements]
+        assert found == STATEMENT_LOCATIONS.get(path.stem, [(1, 1)]), path.stem
+
+
+@pytest.mark.parametrize("text, message", LOCATED_ERRORS)
+def test_error_locations_are_pinned(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_statement_locations_count_blanks_but_not_comments():
+    doc = parse("  a = Reg(R=[(1:1)]);\n\t b = Reg(R=[(2:1)]);\r\n   c = Reg(R=[(3:1)]);")
+    assert [(s.line, s.col) for s in doc.statements] == [(1, 3), (2, 3), (3, 4)]
+    assert parse("El(rho=u, phi=u^-1, R=[(1:1)]) # tail").statements[0][2:] == (1, 1)
+    for text, message in [
+        ("1 +", "1:4: expected a scalar, found 'end of input'"),
+        ("zeta(3", "1:7: expected ')', found 'end of input'"),
+        ("2 2", "1:3: expected 'end of input', found '2'"),
+        ("  @", "1:3: unexpected character '@'"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_scalar_text(text)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("El(rho=u^², phi=u^-1, R=[(1:1)])", "1:10: unexpected character '²'"),
+        ("El(rho=u, phi=u^-١, R=[(1:1)])", "1:18: unexpected character '١'"),
+        ("El(rho=u², phi=u^-1, R=[(1:1)])", "1:9: unexpected character '²'"),
+        ("a = Reg(R=[(３:1)]);", "1:13: unexpected character '３'"),
+        ("# ١ in a comment\nReg(R=[(1:½)])", "2:11: unexpected character '½'"),
+    ],
+)
+def test_integers_are_ascii_digits(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_names_keep_unicode_letters():
+    el = _first(parse("El(rho=ü_1, phi=ü_1^-1, R=[(1:1)])")).summands[0]
+    assert el.rho.var == "ü_1" and el.q == 1

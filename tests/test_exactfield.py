@@ -9,8 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from localfourier.dsl import render_scalar
 from localfourier.errors import DomainError, FieldError, TowerDepthError
 from localfourier.exactfield import (
+    _CYC_ZERO,
+    _TRIVIAL_MONO,
     ONE,
     ZERO,
     FieldElement,
@@ -20,6 +23,7 @@ from localfourier.exactfield import (
     _cyc_inv,
     _cyc_lift,
     _cyc_mul,
+    _cyc_neg,
     _euler_phi,
     _zeta_powers,
     adjoin_root,
@@ -578,3 +582,96 @@ def test_sum_inverse_matches_the_linear_reference(terms):
             ONE / x
     else:
         assert (ONE / x).sort_key() == want.sort_key()
+
+
+# -- the rational branch against the coordinate layer -----------------------
+# A rational value carries a bare Fraction, and division, equality and keys
+# between two of them never reach the coordinates.  The references below
+# hold the same values in Q(zeta_n) coordinates: either computed by the
+# _cyc_* functions directly, or as elements with the Fraction switched off,
+# so that every operation on them takes the general path.
+
+_rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    _small_fraction,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
+    ),
+)
+
+
+def _coords(x: Fraction, n: int) -> _Cyc:
+    return _cyc_lift(_Cyc(1, (x,)), n)
+
+
+def _held(c: _Cyc) -> FieldElement:
+    # the value c with its Fraction switched off
+    out = FieldElement({_TRIVIAL_MONO: c})
+    out._q = None
+    return out
+
+
+def _coord_key(c: _Cyc) -> tuple:
+    c = _cyc_contract(c)
+    return (0, ()) if c.is_zero() else (1, (((), c.n, c.c),))
+
+
+def _same_value(got: FieldElement, held: FieldElement):
+    assert got.sort_key() == held.sort_key()
+    assert hash(got) == hash(held)
+    assert render_scalar(got) == render_scalar(held)
+    assert render_scalar(got, bare_ints=False) == render_scalar(held, bare_ints=False)
+    assert got == held and held == got
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rationals, _rationals, st.sampled_from([3, 4, 12]))
+def test_rational_branch_matches_the_coordinates(x, y, n):
+    a, b = rational(x), rational(y)
+    xs, ys = _coords(x, n), _coords(y, n)
+    results = [
+        (a + b, _cyc_add(xs, ys)),
+        (a - b, _cyc_add(xs, _cyc_neg(ys))),
+        (y - a, _cyc_add(ys, _cyc_neg(xs))),
+        (-a, _cyc_neg(xs)),
+        (a * b, _cyc_mul(xs, ys)),
+    ]
+    if y:
+        results += [(a / b, _cyc_mul(xs, _cyc_inv(ys))), (x / b, _cyc_mul(xs, _cyc_inv(ys)))]
+    else:
+        with pytest.raises(DomainError):
+            a / b
+    for got, ref in results:
+        assert got.sort_key() == _coord_key(ref)
+        assert hash(got) == hash(_coord_key(ref))
+        contracted = _cyc_contract(ref)
+        assert got.as_rational() == (contracted.c[0] if contracted.n == 1 else None)
+        assert got.is_one() == (_coord_key(ref) == _coord_key(_coords(Fraction(1), n)))
+        _same_value(got, _held(ref))
+    assert (a == b) == (_held(xs) == _held(ys)) == (x == y)
+    assert (a.sort_key() < b.sort_key()) == (_coord_key(xs) < _coord_key(ys))
+    assert (a.sort_key() < b.sort_key()) == (_held(xs).sort_key() < _held(ys).sort_key())
+
+
+_PARTNERS = [
+    lambda n: zeta(n),
+    lambda n: zeta(n, n - 1) * rational(Fraction(-5, 3)) + 2,
+    lambda n: adjoin_root(2, 2),
+    lambda n: adjoin_root(3, 2) * zeta(n) + rational(Fraction(1, 7)),
+    lambda n: adjoin_root(2 + zeta(3), 2),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rationals, st.sampled_from([3, 4, 12]), st.sampled_from(range(len(_PARTNERS))))
+def test_rational_operand_meets_the_general_path(x, n, which):
+    a, held, c = rational(x), _held(_coords(x, n) if x else _CYC_ZERO), _PARTNERS[which](n)
+    pairs = [(a + c, held + c), (c + a, c + held), (a - c, held - c), (c - a, c - held),
+             (a * c, held * c), (c * a, c * held), (a / c, held / c)]
+    if x:
+        pairs.append((c / a, c / held))
+    for got, want in pairs:
+        _same_value(got, want)
+    assert (a == c) == (held == c)

@@ -45,6 +45,13 @@ def _imports_inside_functions(tree):
                     yield fn.name, node
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; newer syntax would
+    # break the oldest interpreter it admits
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_module_import_graph_has_no_cycle():
     trees = _trees()
     graph = {
