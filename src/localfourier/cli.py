@@ -33,18 +33,23 @@ _GRID_Q = range(1, 6)
 
 
 def _read(path: str) -> str:
+    # UTF-8 bytes on either route; a stdin with no .buffer (io.StringIO) gives text
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            raw = getattr(sys.stdin, "buffer", sys.stdin).read()
+        else:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        text = raw if isinstance(raw, str) else raw.decode("utf-8")
     except UnicodeDecodeError as e:
         # malformed input, located at the first byte that does not decode
-        before = e.object[:e.start].decode(e.encoding)
+        before = e.object[:e.start].decode(e.encoding).replace("\r\n", "\n").replace("\r", "\n")
         line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
         raise ParseError(f"cannot decode the input as {e.encoding}: {e.reason}", line, col)
     except OSError as e:
         raise DomainError(f"cannot read {path}: {e.strerror or e}")
+    # newlines as in text mode: "\r\n" and a lone "\r" end a line
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _document(path: str) -> dsl.ParsedDocument:

@@ -701,7 +701,14 @@ def render_document(doc: ParsedDocument) -> str:
 def relabel_variable(
     m: Union[FormalConnection, ElementaryConnection], var: str = "u"
 ) -> Union[FormalConnection, ElementaryConnection]:
-    """Rewrite in another letter; the variable's name carries no meaning."""
+    """Rewrite in another letter; the variable's name carries no meaning.
+
+    m comes back as is when it uses var: nothing mutates a connection or a
+    series after construction, so sharing them is safe.
+    """
+    summands = (m,) if isinstance(m, ElementaryConnection) else m.summands
+    if all(el.rho.var == var for el in summands):
+        return m
 
     def series(s: LaurentSeries) -> LaurentSeries:
         return LaurentSeries(dict(s.coeffs), s.prec, var)
@@ -711,7 +718,7 @@ def relabel_variable(
 
     if isinstance(m, ElementaryConnection):
         return one(m)
-    return FormalConnection(tuple(one(el) for el in m.summands))
+    return FormalConnection(tuple(one(el) for el in summands))
 
 
 def connection_schema(m: Union[FormalConnection, ElementaryConnection]) -> dict:

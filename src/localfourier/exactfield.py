@@ -378,21 +378,18 @@ class FieldElement:
         return None
 
     def radical_parts(self):
-        """Iterate (monomial factors, n, coords) for printing.
+        """List (monomial factors, n, coords) for printing, off sort_key().
 
         Factors come as (kind, payload, exponent) with kind 'p' (payload a
         prime) or 'x' (payload the defining gamma as a FieldElement).  The
         coefficient of the monomial is sum coords[j] zeta_n^j, n minimal.
         """
-        for mono in sorted(self._terms, key=_mono_key):
-            factors = []
-            for key, e in sorted(mono, key=lambda it: it[0]):
-                if key[0] == "p":
-                    factors.append(("p", key[1], e))
-                else:
-                    factors.append(("x", key[1].gamma, e))
-            c = _cyc_contract(self._terms[mono])
-            yield factors, c.n, c.c
+        if self._q is not None:
+            return [([], 1, (self._q,))] if self._q else []
+        return [
+            ([(k[0], k[1] if k[0] == "p" else k[1].gamma, e) for k, e in mono], n, c)
+            for mono, n, c in self.sort_key()[1]
+        ]
 
     # -- arithmetic --------------------------------------------------------
 

@@ -4,13 +4,17 @@ Everything here runs over the localized Weyl algebra: the one-term family
 E^{a/t^q} is presented by the operator t^{q+1} d/dt + qa, pushed through
 the integral-kernel substitution, ramified, twisted, and reduced to its
 regular part, entirely independently of the series formulas in the
-fourier module.  oracle_check compares the two routes stage by stage.
+fourier module.  Substitutions read their images off integer tables of
+normal-ordered powers (_power_table), one field multiplication per table
+entry.  oracle_check compares the two routes stage by stage.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .connection import elementary
@@ -153,11 +157,40 @@ class LaplaceResult(NamedTuple):
     theta_power: int
 
 
-def _power(pows: list, base: WeylOperator, n: int) -> WeylOperator:
-    # pows caches base^0, base^1, ...; extend it through base^n
-    while len(pows) <= n:
-        pows.append(pows[-1] * base)
-    return pows[n]
+def _power_table(image: dict, n: int) -> list:
+    """Normal-ordered powers image^0..image^n as tables of Python ints.
+
+    The image and each row map (x-power, d-power, power of s) to an int:
+    a sum of any number of terms int * s^j x^a d^b, b <= 1, with s one
+    scalar kept symbolic.  Row i is the image times row i-1, reordered
+    through d x^e = x^e d + e x^(e-1).  The substitutions read x^m d^n off
+    one row: (theta^2 d - n theta)^m behind theta^(-n) for the Laplace
+    kernel, (eta^(1-k) d)^n for the ramification, and (d - q s x^(-q-1))^n,
+    s = lam, for the twist.
+    """
+    rows = [{(0, 0, 0): 1}]
+    for _ in range(n):
+        out = {}
+        for (a1, b1, j1), c1 in image.items():
+            for (a, b, j), w in rows[-1].items():
+                key = (a1 + a, b1 + b, j1 + j)
+                out[key] = out.get(key, 0) + c1 * w
+                if b1 and a:
+                    key = (a1 + a - 1, b, j1 + j)
+                    out[key] = out.get(key, 0) + c1 * a * w
+        rows.append({k: w for k, w in out.items() if w})
+    return rows
+
+
+def _assemble(parts, var: str) -> WeylOperator:
+    # sum of x^shift * row over (row, shift, scaled); an s^j entry takes scaled[j]
+    out = {}
+    for row, shift, scaled in parts:
+        for (a, b, j), w in row.items():
+            key = (shift + a, b)
+            piece = scaled[j] * w
+            out[key] = out[key] + piece if key in out else piece
+    return WeylOperator(out, var)
 
 
 def laplace_substitute(a: WeylOperator, var: str = "theta") -> LaplaceResult:
@@ -167,18 +200,15 @@ def laplace_substitute(a: WeylOperator, var: str = "theta") -> LaplaceResult:
     theta^(-1), matching the kernel that pairs a pole at the origin with
     the point at infinity.
     """
-    x_img = WeylOperator.monomial(2, 1, 1, var)
-    out = WeylOperator.zero(var)
-    x_pows = [WeylOperator.scalar(1, var)]
-    for (m, n), c in a.terms.items():
-        if m < 0:
-            raise DomainError(
-                "the substitution needs polynomial powers of the source variable"
-            )
-        out = out + (_power(x_pows, x_img, m) * WeylOperator.monomial(-n, 0, c, var))
+    if any(m < 0 for m, _ in a.terms):
+        raise DomainError("the substitution needs polynomial powers of the source variable")
+    top = max((m for m, _ in a.terms), default=0)
+    # (theta^2 d)^m theta^(-n) = theta^(-n) (theta^2 d - n theta)^m
+    rows = {n: _power_table({(2, 1, 0): 1, (1, 0, 0): -n}, top) for n in {n for _, n in a.terms}}
+    out = _assemble(((rows[n][m], -n, [c]) for (m, n), c in a.terms.items()), var)
     shift = max(0, -min((m for m, _ in out.terms), default=0))
     if shift:
-        out = WeylOperator.monomial(shift, 0, 1, var) * out
+        out = WeylOperator({(m + shift, n): c for (m, n), c in out.terms.items()}, var)
     return LaplaceResult(out, shift)
 
 
@@ -234,14 +264,9 @@ def ramify_operator(a: WeylOperator, c, k: int, var: str = "eta") -> WeylOperato
         raise DomainError("the ramification constant must be nonzero")
     if k < 1:
         raise DomainError("the ramification order must be a positive integer")
-    d_img = WeylOperator.monomial(1 - k, 1, 1, var)
-    d_pows = [WeylOperator.scalar(1, var)]
-    out = WeylOperator.zero(var)
-    kk = rational(k)
-    for (m, n), coeff in a.terms.items():
-        factor = coeff * (c ** (m - n)) / (kk ** n)
-        out = out + (WeylOperator.monomial(k * m, 0, factor, var) * _power(d_pows, d_img, n))
-    return out
+    rows = _power_table({(1 - k, 1, 0): 1}, max((n for _, n in a.terms), default=0))
+    parts = ((rows[n], k * m, [c0 * c ** (m - n) / k ** n]) for (m, n), c0 in a.terms.items())
+    return _assemble(parts, var)
 
 
 def _single_pole(phi: LaurentSeries):
@@ -269,16 +294,15 @@ def twist_operator(a: WeylOperator, phi: LaurentSeries) -> WeylOperator:
                 "expected an operator built from x^(q+1) d and powers of x"
             )
     q, lam = _single_pole(phi)
-    if lam.is_zero():
-        return a
-    d_img = WeylOperator(
-        {(0, 1): ONE, (-q - 1, 0): lam * rational(-q)}, a.var
-    )
-    d_pows = [WeylOperator.scalar(1, a.var)]
-    out = WeylOperator.zero(a.var)
-    for (m, n), coeff in a.terms.items():
-        out = out + (WeylOperator.monomial(m, 0, coeff, a.var) * _power(d_pows, d_img, n))
-    return out
+    return _twists(a, q, [lam])[0]
+
+
+def _twists(a: WeylOperator, q: int, lams) -> list:
+    # a twisted by each lam / x^q off one table, row n times c * lam^j at s^j
+    top = max((n for _, n in a.terms), default=0)
+    rows = _power_table({(0, 1, 0): 1, (-q - 1, 0, 1): -q}, top)
+    return [_assemble(((rows[n], m, list(accumulate(repeat(lam, n), mul, initial=c)))
+                       for (m, n), c in a.terms.items()), a.var) for lam in lams]
 
 
 class ResidueData(NamedTuple):
@@ -297,27 +321,20 @@ def regular_residue(a: WeylOperator) -> ResidueData:
     if a.is_zero():
         raise DomainError("the zero operator has no regular part")
     shift = min(m for m, _ in a.terms)
-    indicial = [ZERO]
+    indicial = {}
     for (m, n), c in a.terms.items():
-        if m - shift != n:
-            continue
-        # x^n d^n = s(s-1)...(s-n+1) with s = x d
-        ff = [ONE]
-        for i in range(n):
-            ff = [ZERO] + ff
-            for j in range(len(ff) - 1):
-                ff[j] = ff[j] + ff[j + 1] * rational(-i)
-        while len(indicial) < len(ff):
-            indicial.append(ZERO)
-        for j, v in enumerate(ff):
-            indicial[j] = indicial[j] + v * c
-    while indicial and indicial[-1].is_zero():
-        indicial.pop()
-    if len(indicial) != 2:
+        if m - shift == n:
+            # x^n d^n = s(s-1)...(s-n+1) with s = x d, in integer coefficients
+            ff = [1]
+            for i in range(n):
+                ff = [u - i * v for u, v in zip([0] + ff, ff + [0])]
+            for j, v in enumerate(ff):
+                indicial[j] = indicial[j] + c * v if j in indicial else c * v
+    degree = max((j for j, v in indicial.items() if not v.is_zero()), default=0)
+    if degree != 1:
         raise DomainError(
             "the twisted operator has no rank-one regular part; the pole "
-            "division leaves an indicial polynomial of degree "
-            + str(max(len(indicial) - 1, 0))
+            "division leaves an indicial polynomial of degree " + str(degree)
         )
     residue = -indicial[0] / indicial[1]
     monodromy = None
@@ -405,13 +422,10 @@ def oracle_check(a, q: int) -> OracleReport:
     if tr.q != q:
         _stage_fail("twist", q, tr.q)
     lam = tr.phi.coefficient(-q)
-    twisted = twist_operator(eta_op, LaurentSeries({-q: lam}, var="eta"))
+    twisted, control = _twists(eta_op, q, [lam, lam * rational(2)])
     const = twisted.coefficient(0, 0)
     if not const.is_zero():
         _stage_fail("twist", ZERO, const)
-    control = twist_operator(
-        eta_op, LaurentSeries({-q: lam * rational(2)}, var="eta")
-    )
     if control.coefficient(0, 0).is_zero():
         _stage_fail("twist-control", "nonzero constant term", ZERO)
     stages.append(

@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import localfourier
 from localfourier import cli
 from localfourier.errors import InternalError
 
@@ -313,9 +317,47 @@ def test_undecodable_file_exit_2_with_location(run, tmp_path):
     assert err == "parse error: 2:14: cannot decode the input as utf-8: invalid start byte\n"
 
 
+def test_undecodable_byte_after_a_lone_cr_is_located_on_its_line(run, tmp_path):
+    # the same line:col that a parse error at that byte would carry
+    path = tmp_path / "cr.conn"
+    for byte, message in ((b"\xff", "cannot decode"), (b"%", "unexpected character")):
+        path.write_bytes(b"a = Reg(R=[(1:1)]);\rb = Reg(R=[(" + byte + b":1)]);\r")
+        code, _, err = run(["canon", str(path)])
+        assert code == 2 and err.startswith(f"parse error: 2:13: {message}")
+
+
 def test_undecodable_stdin_exit_2_with_location(run, monkeypatch):
     raw = io.BytesIO(b"El(rho=u, phi=\xff*u^-1, R=[(1:1)])")
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
     code, out, err = run(["canon", "-"])
     assert code == 2 and out == ""
     assert err.startswith("parse error: 1:15: cannot decode the input as utf-8")
+
+
+def _canon_subprocess(args, stdin=b""):
+    # a fresh interpreter whose standard streams use latin-1, not UTF-8
+    src = str(Path(localfourier.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONIOENCODING="latin-1", PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-m", "localfourier.cli", "canon", *args],
+        input=stdin, env=env, capture_output=True, timeout=120,
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "El(rho=\u00fc, phi=\u00fc^-1, R=[(1:1)])".encode("utf-8"),
+        # lone carriage returns end lines, and so end the comment
+        b"a = El(rho=u, phi=u^-1, R=[(1:1)]); # one\rb = El(rho=u, phi=2*u^-1, R=[(1:1)]);\r",
+    ],
+    ids=["non-ascii-name", "cr-newlines"],
+)
+def test_stdin_and_file_decode_alike(tmp_path, raw):
+    path = tmp_path / "doc.conn"
+    path.write_bytes(raw)
+    from_file = _canon_subprocess([str(path)])
+    from_stdin = _canon_subprocess(["-"], stdin=raw)
+    assert from_file[0] == 0 and from_file[2] == b""
+    assert from_stdin == from_file

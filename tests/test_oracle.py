@@ -1,6 +1,7 @@
 """Weyl-operator route: algebra basics, each pipeline stage, full check."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from localfourier.connection import elementary
 from localfourier.errors import DomainError, InternalError
-from localfourier.exactfield import ONE, FieldElement, rational, zeta
+from localfourier.cli import _GRID_A, _GRID_Q
+from localfourier.exactfield import ONE, FieldElement, adjoin_root, rational, zeta
 from localfourier.fourier import fourier_0_inf
 from localfourier.oracle import (
+    _single_pole,
     LaplaceResult,
     WeylOperator,
     laplace_substitute,
@@ -361,3 +364,189 @@ def test_oracle_mismatch_names_stage(monkeypatch):
     with pytest.raises(InternalError) as exc:
         oracle_check(1, 2)
     assert "slope" in str(exc.value)
+
+
+# -- printed reports, pinned -----------------------------------------------
+
+REPORTS = Path(__file__).with_name("oracle_reports.txt")
+# the CLI grid, the corpus_cli benchmark's pairs outside it, and zeta(3)
+_REPORT_CASES = [(a, q) for a in _GRID_A for q in _GRID_Q] + [
+    (Fraction(-2, 3), 2), (Fraction(5, 7), 3), (3, 4), (Fraction(-1, 2), 5), (zeta(3), 2),
+]
+
+
+def _report_text():
+    reports = ("\n".join(oracle_check(a, q).lines()) for a, q in _REPORT_CASES)
+    return "\n\n".join(reports) + "\n"
+
+
+def test_oracle_reports_are_pinned():
+    # recorded from the route that built each power by WeylOperator products
+    assert _report_text() == REPORTS.read_text(encoding="utf-8")
+
+
+# -- the integer power tables against the product route --------------------
+#
+# The reference functions below are the substitutions as they were before
+# the power tables: each power of the image is a cached WeylOperator
+# product.  The tables must give the same operators term for term, and the
+# same refusals.
+
+def _ref_power(pows, base, n):
+    while len(pows) <= n:
+        pows.append(pows[-1] * base)
+    return pows[n]
+
+
+def _ref_laplace(a, var="theta"):
+    x_img = WeylOperator.monomial(2, 1, 1, var)
+    out = WeylOperator.zero(var)
+    x_pows = [WeylOperator.scalar(1, var)]
+    for (m, n), c in a.terms.items():
+        if m < 0:
+            raise DomainError(
+                "the substitution needs polynomial powers of the source variable"
+            )
+        out = out + (_ref_power(x_pows, x_img, m) * WeylOperator.monomial(-n, 0, c, var))
+    shift = max(0, -min((m for m, _ in out.terms), default=0))
+    if shift:
+        out = WeylOperator.monomial(shift, 0, 1, var) * out
+    return LaplaceResult(out, shift)
+
+
+def _ref_ramify(a, c, k, var="eta"):
+    c = FieldElement.from_any(c)
+    if c.is_zero():
+        raise DomainError("the ramification constant must be nonzero")
+    if k < 1:
+        raise DomainError("the ramification order must be a positive integer")
+    d_img = WeylOperator.monomial(1 - k, 1, 1, var)
+    d_pows = [WeylOperator.scalar(1, var)]
+    out = WeylOperator.zero(var)
+    kk = rational(k)
+    for (m, n), coeff in a.terms.items():
+        factor = coeff * (c ** (m - n)) / (kk ** n)
+        out = out + (WeylOperator.monomial(k * m, 0, factor, var) * _ref_power(d_pows, d_img, n))
+    return out
+
+
+def _ref_twist(a, phi):
+    for (m, n), _ in a.terms.items():
+        if m < n:
+            raise DomainError(
+                "expected an operator built from x^(q+1) d and powers of x"
+            )
+    q, lam = _single_pole(phi)
+    if lam.is_zero():
+        return a
+    d_img = WeylOperator({(0, 1): ONE, (-q - 1, 0): lam * rational(-q)}, a.var)
+    d_pows = [WeylOperator.scalar(1, a.var)]
+    out = WeylOperator.zero(a.var)
+    for (m, n), coeff in a.terms.items():
+        out = out + (WeylOperator.monomial(m, 0, coeff, a.var) * _ref_power(d_pows, d_img, n))
+    return out
+
+
+def _ref_residue(a):
+    if a.is_zero():
+        raise DomainError("the zero operator has no regular part")
+    shift = min(m for m, _ in a.terms)
+    indicial = [rational(0)]
+    for (m, n), c in a.terms.items():
+        if m - shift != n:
+            continue
+        ff = [ONE]
+        for i in range(n):
+            ff = [rational(0)] + ff
+            for j in range(len(ff) - 1):
+                ff[j] = ff[j] + ff[j + 1] * rational(-i)
+        while len(indicial) < len(ff):
+            indicial.append(rational(0))
+        for j, v in enumerate(ff):
+            indicial[j] = indicial[j] + v * c
+    while indicial and indicial[-1].is_zero():
+        indicial.pop()
+    if len(indicial) != 2:
+        raise DomainError(
+            "the twisted operator has no rank-one regular part; the pole "
+            "division leaves an indicial polynomial of degree "
+            + str(max(len(indicial) - 1, 0))
+        )
+    return -indicial[0] / indicial[1]
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except Exception as e:  # compared by type and message
+        return "raised", type(e), str(e)
+
+
+# coefficients a + b g with g generating Q, Q(zeta_3), Q(zeta_4) or Q(root(2,2))
+_fields = st.sampled_from([ONE, zeta(3), zeta(4), adjoin_root(2, 2)]).map(
+    lambda g: st.builds(lambda a, b: rational(a) + rational(b) * g, *[
+        st.fractions(min_value=-3, max_value=3, max_denominator=4)] * 2)
+)
+
+
+@st.composite
+def _source(draw, coeff, relative=False):
+    # 1-4 terms x^m d^n, n <= 4: m in 0..6, or m = n + (-1..5) when relative
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 4))
+        m = n + draw(st.integers(-1, 5)) if relative else draw(st.integers(0, 6))
+        terms[m, n] = draw(coeff)
+    return terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_laplace_table_matches_the_product_route(data):
+    coeff = data.draw(_fields)
+    terms = data.draw(_source(coeff))
+    if data.draw(st.integers(0, 3)) == 0:
+        terms[-1, data.draw(st.integers(0, 4))] = data.draw(coeff)  # refused
+    src = WeylOperator(terms)
+    assert _outcome(laplace_substitute, src) == _outcome(_ref_laplace, src)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ramify_table_matches_the_product_route(data):
+    coeff = data.draw(_fields)
+    src = WeylOperator(data.draw(_source(coeff)), "theta")
+    c, k = data.draw(coeff), data.draw(st.integers(0, 4))
+    assert _outcome(ramify_operator, src, c, k) == _outcome(_ref_ramify, src, c, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_twist_table_matches_the_product_route(data):
+    coeff = data.draw(_fields)
+    src = WeylOperator(data.draw(_source(coeff, relative=True)), "eta")
+    q = data.draw(st.integers(1, 6))
+    phi = S({-q: data.draw(coeff)}, var="eta")
+    if data.draw(st.booleans()):
+        # a second term, or a pole of order zero: refused unless it cancels
+        phi = phi + S({data.draw(st.integers(-3, 2)): data.draw(coeff)}, var="eta")
+    new, ref = _outcome(twist_operator, src, phi), _outcome(_ref_twist, src, phi)
+    assert new == ref
+    if new[0] == "ok":
+        residue = _outcome(lambda op: regular_residue(op).residue, new[1])
+        assert residue == _outcome(_ref_residue, ref[1])
+
+
+@pytest.mark.parametrize("a", [1, Fraction(-2, 3), zeta(3), 1 + 2 * zeta(4)], ids=str)
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+def test_family_pipeline_matches_the_product_route(a, q):
+    # the oracle's own chain: substitute, ramify by the transform's rho, twist
+    big, tr = _family_pipeline(a, q)
+    op = WeylOperator({(q + 1, 1): ONE, (0, 0): FieldElement.from_any(a) * q})
+    lap = laplace_substitute(op)
+    assert lap == _ref_laplace(op)
+    c = tr.rho.leading_coefficient()
+    assert ramify_operator(lap.operator, c, tr.p) == _ref_ramify(lap.operator, c, tr.p)
+    for lam in (tr.phi.coefficient(-q), tr.phi.coefficient(-q) * rational(2)):
+        phi = S({-q: lam}, var="eta")
+        assert twist_operator(big, phi) == _ref_twist(big, phi)
