@@ -103,9 +103,8 @@ def _location_text(location) -> str:
 
 # -- subcommands -----------------------------------------------------------
 
-def _cmd_fourier(args) -> int:
-    doc = _document(args.file)
-    var = _document_var(doc)
+def _fourier_op(args):
+    # read once the document has parsed, so a parse error is reported first
     point = ()
     if args.kind == "sinf":
         if args.s is None:
@@ -119,25 +118,18 @@ def _cmd_fourier(args) -> int:
         "infinf": fourier_inf_inf,
         "sinf": fourier_s_inf,
     }[args.kind]
-    results = []
-    for stmt in _connection_statements(doc):
-        out = [
-            transform(el, *point, args.sign, args.precision)
-            for el in stmt.value.summands
-        ]
-        results.append((stmt.name, dsl.FormalConnection(tuple(out))))
-    provenance = {"kind": args.kind, "sign": args.sign}
-    if args.kind == "sinf":
-        provenance["s"] = args.s
-    _emit_connections(results, var, args.json, provenance)
-    return 0
+    return lambda m: dsl.FormalConnection(
+        tuple(transform(el, *point, args.sign, args.precision) for el in m.summands)
+    )
 
 
-def _cmd_unary(args, op) -> int:
+def _cmd_unary(args, op, provenance=None) -> int:
+    # op(args) gives the map applied to each connection statement
     doc = _document(args.file)
     var = _document_var(doc)
-    results = [(s.name, op(s.value)) for s in _connection_statements(doc)]
-    _emit_connections(results, var, args.json)
+    each = op(args)
+    results = [(s.name, each(s.value)) for s in _connection_statements(doc)]
+    _emit_connections(results, var, args.json, provenance)
     return 0
 
 
@@ -287,7 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="working window for truncated series (at least 4)",
     )
     _add_json(sp)
-    sp.set_defaults(func=_cmd_fourier)
+    sp.set_defaults(func=lambda a: _cmd_unary(a, _fourier_op, {
+        "kind": a.kind, "sign": a.sign, **({"s": a.s} if a.kind == "sinf" else {})
+    }))
 
     for name, op, help_text in (
         ("dual", lambda m: dsl.FormalConnection(tuple(dual(el) for el in m.summands)), "termwise dual"),
@@ -297,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("file")
         _add_json(sp)
-        sp.set_defaults(func=lambda a, _op=op: _cmd_unary(a, _op))
+        sp.set_defaults(func=lambda a, _op=op: _cmd_unary(a, lambda _: _op))
 
     sp = sub.add_parser("invariants", help="rank, irregularity, slopes")
     sp.add_argument("file")

@@ -387,22 +387,17 @@ def canonicalize(m: Union[FormalConnection, ElementaryConnection]) -> FormalConn
     """
     if isinstance(m, ElementaryConnection):
         m = FormalConnection([m])
-    groups: dict[tuple, tuple[ElementaryConnection, RegularPart]] = {}
+    groups: dict[tuple, tuple[LaurentSeries, LaurentSeries, RegularPart]] = {}
     for el in m:
         el = reduce_minimal(normalize_ramification(el))
         rep_phi, rep_key = _orbit_representative(el.p, el.phi)
-        key = (el.p, rep_key)
-        if key in groups:
-            seed, reg = groups[key]
-            groups[key] = (seed, reg.concat(el.reg))
+        key = (el.p, el.q, rep_key)
+        if key in groups:  # a later summand of the class adds only its regular part
+            rho, phi, reg = groups[key]
+            groups[key] = (rho, phi, reg.concat(el.reg))
         else:
-            groups[key] = (ElementaryConnection(el.rho, rep_phi, el.reg), el.reg)
-    out = []
-    for (p, rep_key), (seed, reg) in groups.items():
-        merged = ElementaryConnection(seed.rho, seed.phi, reg)
-        out.append(merged)
-    out.sort(key=lambda e: (e.p, e.q, _phi_key(e.phi)))
-    return FormalConnection(out)
+            groups[key] = (el.rho, rep_phi, el.reg)
+    return FormalConnection([ElementaryConnection(*groups[key]) for key in sorted(groups)])
 
 
 def is_isomorphic(

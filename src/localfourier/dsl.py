@@ -35,7 +35,6 @@ series carry their 'O(u^N)' tail.
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -743,12 +742,8 @@ def connection_schema(m: Union[FormalConnection, ElementaryConnection]) -> dict:
     return {"summands": rows, "total": {"rank": total_rank, "irr": total_irr}}
 
 
-def print_canonical(m, format: str = "text") -> str:
+def print_canonical(m) -> str:
     """Deterministic text of a connection, round-tripping through parse."""
-    if format == "json":
-        return json.dumps(connection_schema(m), indent=2)
-    if format != "text":
-        raise DomainError(f"unknown output format {format!r}")
     if isinstance(m, ParsedDocument):
         return render_document(m)
     if isinstance(m, SingularityDatum):

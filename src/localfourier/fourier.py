@@ -24,8 +24,10 @@ and that example pins every sign in this module.  The "plus" transform
 is the composite with u -> -u on the input side.
 
 The three elementary kinds share one skeleton (_transform) and differ only
-in a row of _KINDS.  The Jordan-data algebra the assembly relies on lives
-next to RegularPart in the connection module.
+in a row of _KINDS.  A RationalMap is the plain pair (num, den); it is
+expanded where it is used, by num.divide(den, window).  The Jordan-data
+algebra the assembly relies on lives next to RegularPart in the connection
+module.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .connection import (
     FormalConnection,
     RegularPart,
     canonicalize,
+    dim_fixed,
     regular_connection,
 )
 from .errors import DomainError
@@ -60,25 +63,10 @@ def _is_one_series(f: LaurentSeries) -> bool:
 
 
 class RationalMap(NamedTuple):
-    """A ratio num/den of Laurent polynomials, expandable on demand."""
+    """A ratio num/den of Laurent polynomials."""
 
     num: LaurentSeries
     den: LaurentSeries
-
-    def expand(self, window: Optional[int] = None) -> LaurentSeries:
-        """num/den by one division recurrence; exact whenever den is a monomial."""
-        return self.num.divide(self.den, window)
-
-    def reciprocal(self) -> "RationalMap":
-        if self.num.is_exactly_zero():
-            raise DomainError("reciprocal of the zero map")
-        return RationalMap(self.den, self.num)
-
-    def __neg__(self) -> "RationalMap":
-        return RationalMap(-self.num, self.den)
-
-    def scale(self, c) -> "RationalMap":
-        return RationalMap(self.num.scale(c), self.den)
 
 
 def _rho_map(el: ElementaryConnection) -> RationalMap:
@@ -151,15 +139,15 @@ def _transform(
     D = n.derivative()
     if not _is_one_series(d):
         D = D * d - n * d.derivative()
-    rho_hat = row.rho_hat(n, d, D, dphi)
+    num_hat, den_hat = row.rho_hat(n, d, D, dphi)
     if sgn == row.negated_for:
-        rho_hat = -rho_hat
-    rho_hat = RationalMap(rho_hat.num.with_var(row.var), rho_hat.den.with_var(row.var))
+        num_hat = -num_hat
+    rho_hat = RationalMap(num_hat.with_var(row.var), den_hat.with_var(row.var))
     w = working_window(row.p_hat(el), el.q) if window is None else window
-    corr = RationalMap(n * d * dphi, D).expand(window=w)
+    corr = (n * d * dphi).divide(D, w)
     phi_hat = (el.phi + (corr if row.corr_sign > 0 else -corr)).principal_part()
     return ElementaryConnection(
-        rho_hat.expand(window=w),
+        rho_hat.num.divide(rho_hat.den, w),
         phi_hat,
         _monodromy_twist(el.reg, el.q),
         rho_source=rho_hat,
@@ -206,7 +194,8 @@ def _slope_one_twist(
     # el tensored with the rank-one exponential of linear coefficient s:
     # phi gains the polar part of s / rho
     w = working_window(el.p, el.p) if window is None else window
-    shift = _rho_map(el).reciprocal().scale(s).expand(window=w).principal_part()
+    rho = _rho_map(el)
+    shift = rho.den.scale(s).divide(rho.num, w).principal_part()
     return ElementaryConnection(el.rho, el.phi + shift, el.reg, rho_source=el.rho_source)
 
 
@@ -225,7 +214,7 @@ class RegularGermData(NamedTuple):
 
     @property
     def kappa(self) -> int:
-        return sum(1 for eig, _ in self.psi.jordan if eig.is_one())
+        return dim_fixed(self.psi)
 
     @property
     def phi(self) -> RegularPart:
@@ -362,23 +351,29 @@ class SingularityDatum:
     def is_infinity(self) -> bool:
         return self.location is INFINITY
 
+    def _pieces(self):
+        """Pairs (piece, shat) before any slope-one twist: shat is the linear
+        coefficient a slope-one piece is still to be twisted by, else None.
+        A regular part of positive rank comes as one piece with p = 1.
+        """
+        if self.is_infinity():
+            groups = [(self.slope_gt1, None, None)]
+            groups += [(els, reg, shat) for shat, els, reg in self.slope_eq1]
+            groups.append((self.slope_lt1, self.lt1_regular, None))
+        else:
+            germ = self.germ.psi if self.germ is not None else None
+            groups = [(self.summands, germ, None)]
+        for els, reg, shat in groups:
+            for el in els:
+                yield el, shat
+            if reg is not None and reg.rank:
+                yield regular_connection(reg), shat
+
     def full_connection(self) -> FormalConnection:
         """Everything at this point as one direct sum (germ included)."""
-        pieces = []
-        if self.is_infinity():
-            pieces.extend(self.slope_gt1)
-            for shat, els, reg in self.slope_eq1:
-                pieces.extend(_slope_one_twist(el, shat) for el in els)
-                if reg.rank:
-                    pieces.append(_slope_one_twist(regular_connection(reg), shat))
-            pieces.extend(self.slope_lt1)
-            if self.lt1_regular is not None and self.lt1_regular.rank:
-                pieces.append(regular_connection(self.lt1_regular))
-        else:
-            pieces.extend(self.summands)
-            if self.germ is not None and self.germ.psi.rank:
-                pieces.append(regular_connection(self.germ.psi))
-        return FormalConnection(pieces)
+        return FormalConnection(
+            [el if shat is None else _slope_one_twist(el, shat) for el, shat in self._pieces()]
+        )
 
     def __repr__(self):
         where = "infinity" if self.is_infinity() else repr(self.location)
@@ -402,28 +397,18 @@ def _split_points(data: Sequence[SingularityDatum]):
     return finite, at_inf
 
 
-class AssemblyResult(FormalConnection):
-    """Canonical germ at infinity of the transform, with assembly metadata."""
-
-    __slots__ = ("minimal_extension",)
-
-    def __init__(self, summands=(), minimal_extension: bool = True):
-        super().__init__(summands)
-        self.minimal_extension = minimal_extension
-
-
 def stationary_phase_at_infinity(
     data: Sequence[SingularityDatum],
     sign="-",
     minimal_extension: bool = True,
     window: Optional[int] = None,
-) -> AssemblyResult:
-    """Germ at infinity of the transform, assembled point by point.
+) -> FormalConnection:
+    """Canonical germ at infinity of the transform, assembled point by point.
 
     Every finite singularity contributes through fourier_s_inf; the part
     of slope > 1 at infinity contributes through fourier_inf_inf; nothing
     else reaches infinity on the transformed side.  The input is assumed
-    equal to its minimal extension (flag echoed, never verified).
+    equal to its minimal extension.
     """
     _split_points(data)
     pieces = []
@@ -443,5 +428,4 @@ def stationary_phase_at_infinity(
                 )
                 if tr.rank:
                     pieces.append(tr)
-    out = canonicalize(FormalConnection(pieces))
-    return AssemblyResult(out.summands, minimal_extension=minimal_extension)
+    return canonicalize(FormalConnection(pieces))

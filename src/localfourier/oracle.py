@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from .connection import elementary
 from .dsl import render_scalar
 from .errors import DomainError, InternalError
-from .exactfield import ONE, ZERO, FieldElement, exp2pi, rational
+from .exactfield import ZERO, FieldElement, exp2pi, rational
 from .fourier import INFINITY, fourier_0_inf
 from .series import LaurentSeries
 
@@ -122,9 +122,6 @@ class WeylOperator:
         if not isinstance(other, WeylOperator):
             return NotImplemented
         return self.var == other.var and self.terms == other.terms
-
-    def with_var(self, var: str) -> "WeylOperator":
-        return WeylOperator(self.terms, var)
 
     def _same_var(self, other: "WeylOperator"):
         if self.var != other.var:
@@ -388,15 +385,19 @@ def oracle_check(a, q: int) -> OracleReport:
     a = FieldElement.from_any(a)
     if a.is_zero():
         raise DomainError("the pole coefficient must be nonzero")
-    if not isinstance(q, int) or q < 1:
+    if isinstance(q, bool) or not isinstance(q, int) or q < 1:
         raise DomainError("the pole order must be a positive integer")
     stages = []
 
     el = elementary(LaurentSeries.identity(), LaurentSeries({-q: a}))
     tr = fourier_0_inf(el, sign="-")
 
-    # operator of the family and its substitution
-    op = WeylOperator({(q + 1, 1): ONE, (0, 0): a * q})
+    # operator of the family, times the multiplier the ramification puts on
+    # the displayed form: the substitutions are linear, and scaling moves no
+    # Newton slope
+    c = tr.rho.leading_coefficient()
+    mult = rational(tr.p) * ((rational(tr.p) / c) ** q)
+    op = WeylOperator({(q + 1, 1): mult, (0, 0): a * q * mult})
     lap = laplace_substitute(op)
     if lap.theta_power:
         raise InternalError("the family's substituted operator is polynomial")
@@ -413,11 +414,7 @@ def oracle_check(a, q: int) -> OracleReport:
         _stage_fail("ramification", tr.p, ram)
     stages.append(OracleStage("ramification", str(tr.p), str(ram)))
 
-    c = tr.rho.leading_coefficient()
     eta_op = ramify_operator(lap.operator, c, ram)
-    # the substitution scales the displayed form; track the multiplier
-    mult = rational(ram) * ((rational(ram) / c) ** q)
-    eta_op = eta_op.scale(mult)
 
     if tr.q != q:
         _stage_fail("twist", q, tr.q)

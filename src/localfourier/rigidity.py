@@ -44,25 +44,10 @@ def _z_sum(datum: SingularityDatum) -> int:
 
     Every elementary piece contributes p times the centralizer dimension
     of its residual automorphism; regular parts count with weight one.
+    The pieces are read before the slope-one twist, which needs a rho
+    known to more precision and changes neither p nor the Jordan data.
     """
-    total = 0
-    if datum.is_infinity():
-        for el in datum.slope_gt1:
-            total += el.p * dim_centralizer(el.reg)
-        for _, els, reg in datum.slope_eq1:
-            total += dim_centralizer(reg)
-            for el in els:
-                total += el.p * dim_centralizer(el.reg)
-        for el in datum.slope_lt1:
-            total += el.p * dim_centralizer(el.reg)
-        if datum.lt1_regular is not None:
-            total += dim_centralizer(datum.lt1_regular)
-    else:
-        for el in datum.summands:
-            total += el.p * dim_centralizer(el.reg)
-        if datum.germ is not None:
-            total += dim_centralizer(datum.germ.psi)
-    return total
+    return sum(el.p * dim_centralizer(el.reg) for el, _ in datum._pieces())
 
 
 def _minimal_pieces(datum: SingularityDatum) -> list:

@@ -201,6 +201,18 @@ def test_z_zhat_subcommand(run, tmp_path):
     assert out.strip() == "discrepancy = 0"
 
 
+def test_z_zhat_reads_a_truncated_slope_one_piece(run, tmp_path):
+    # the slope-one twist of this piece would need rho past u^2 + O(u^3)
+    data = _write(
+        tmp_path,
+        "d.conn",
+        "Sing(at=infinity, eq1=[(shat=1, els=El(rho=u^2 + O(u^3), phi=u^-1, R=[(1:1)]))])\n",
+    )
+    data_hat = _write(tmp_path, "dh.conn", "Sing(at=0, summands=El(rho=u, phi=u^-1, R=[(1:1)]))\n")
+    for pair in ([data, data_hat], [data_hat, data]):
+        assert run(["z-zhat", *pair]) == (0, "discrepancy = 0\n", "")
+
+
 def test_oracle_subcommand(run):
     code, out, _ = run(["oracle-check", "--a=-3/2", "--q", "2"])
     assert code == 0

@@ -27,6 +27,7 @@ from localfourier.connection import (
     regular_connection,
     rotate_exponential,
 )
+from localfourier.dsl import render_connection
 from localfourier.errors import DomainError
 from localfourier.exactfield import ONE, adjoin_root, rational, zeta
 from localfourier.rigidity import dim_centralizer, dim_fixed, pushforward_monodromy
@@ -333,3 +334,31 @@ def test_canonicalize_preserves_invariants(a, b):
     assert c.rank == m.rank
     assert c.irregularity == m.irregularity
     assert canonicalize(c) == c
+
+
+@st.composite
+def _classes_with_rotated_copies(draw):
+    """(summands, number of distinct classes at most): each base El is
+    followed by rotated copies, isomorphic to it up to the regular part."""
+    bases = draw(st.lists(_minimal_el(), min_size=1, max_size=3))
+    out = []
+    for el in bases:
+        out.append(el)
+        for k in draw(st.lists(st.integers(min_value=0, max_value=5), max_size=2)):
+            reg = draw(st.sampled_from([el.reg, RegularPart([(rational(2), 1), (ONE, 2)])]))
+            out.append(ElementaryConnection(el.rho, rotate_exponential(el.phi, el.p, k), reg))
+    regular = draw(st.lists(st.sampled_from([ONE, rational(-1)]), max_size=2))
+    out.extend(regular_connection(RegularPart([(e, 1)])) for e in regular)
+    return out, len(bases) + (1 if regular else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_canonical_form_does_not_depend_on_summand_order(data):
+    summands, at_most = data.draw(_classes_with_rotated_copies())
+    want = canonicalize(FormalConnection(summands))
+    got = canonicalize(FormalConnection(data.draw(st.permutations(summands))))
+    assert got == want
+    assert render_connection(got) == render_connection(want)
+    assert len(want) <= at_most  # rotated copies merged with their base
+    assert want.rank == sum(el.rank for el in summands)

@@ -318,7 +318,6 @@ def test_assembly_single_regular_point():
     assert len(out) == 1
     el = out.summands[0]
     assert el.is_regular() and el.reg == RegularPart([(1, 1)])
-    assert out.minimal_extension is True
 
 
 def test_assembly_single_irregular_point():
@@ -373,7 +372,6 @@ def test_assembly_rejects_duplicates():
 def test_assembly_minimal_extension_flag():
     datum = SingularityDatum(0, germ=RegularGermData(RegularPart([(1, 2)])))
     out = stationary_phase_at_infinity([datum], "-", minimal_extension=False)
-    assert out.minimal_extension is False
     assert out.rank == 2  # psi survives whole in plain-connection mode
 
 

@@ -351,6 +351,12 @@ def test_oracle_refusals():
         oracle_check(1, -2)
 
 
+@pytest.mark.parametrize("q", [True, False, 2.0, Fraction(2)])
+def test_oracle_refuses_a_pole_order_that_is_no_int(q):
+    with pytest.raises(DomainError, match="positive integer"):
+        oracle_check(1, q)
+
+
 def test_oracle_mismatch_names_stage(monkeypatch):
     import localfourier.oracle as mod
 

@@ -12,6 +12,7 @@ from localfourier.connection import (
     is_isomorphic,
 )
 from localfourier.errors import DomainError, InternalError
+from localfourier.exactfield import zeta
 from localfourier.fourier import (
     INFINITY,
     RegularGermData,
@@ -21,6 +22,7 @@ from localfourier.fourier import (
     stationary_phase_at_infinity,
 )
 from localfourier.rigidity import (
+    _z_sum,
     dim_centralizer,
     dim_fixed,
     rigidity_breakdown,
@@ -351,3 +353,85 @@ def test_shrink_preserves_non_unit_classes(blocks):
     )
     assert kept == shrunk
     assert g.phi.rank == g.psi.rank - sum(1 for e, _ in blocks if e == 1)
+
+
+# -- the centralizer count against a walk over every field ------------------
+
+def _ref_z_sum(datum):
+    # the per-field walk _z_sum replaced, kept as the reference
+    total = 0
+    if datum.is_infinity():
+        for el in datum.slope_gt1:
+            total += el.p * dim_centralizer(el.reg)
+        for _, els, reg in datum.slope_eq1:
+            total += dim_centralizer(reg)
+            for el in els:
+                total += el.p * dim_centralizer(el.reg)
+        for el in datum.slope_lt1:
+            total += el.p * dim_centralizer(el.reg)
+        if datum.lt1_regular is not None:
+            total += dim_centralizer(datum.lt1_regular)
+    else:
+        for el in datum.summands:
+            total += el.p * dim_centralizer(el.reg)
+        if datum.germ is not None:
+            total += dim_centralizer(datum.germ.psi)
+    return total
+
+
+_eigenvalue = st.sampled_from([1, 1, -1, 2, zeta(3)])
+
+
+@st.composite
+def _jordan(draw, min_size=0):
+    return RegularPart(
+        draw(st.lists(st.tuples(_eigenvalue, st.integers(1, 3)), min_size=min_size, max_size=3))
+    )
+
+
+@st.composite
+def _piece(draw, slope):
+    """An El whose slope q/p satisfies slope(q, p); rho may be truncated or not monic."""
+    p, q = draw(
+        st.tuples(st.integers(1, 3), st.integers(0, 5)).filter(lambda pq: slope(pq[1], pq[0]))
+    )
+    rho = draw(st.sampled_from([S.monomial(p), S({p: 1}, p + 1), S({p: 2, p + 1: 1})]))
+    phi = S({-q: draw(st.sampled_from([1, -2, zeta(3)]))}) if q else S.zero()
+    return elementary(rho, phi, draw(_jordan()))
+
+
+@st.composite
+def _datum(draw):
+    if draw(st.booleans()):
+        return SingularityDatum(
+            draw(st.sampled_from([0, 1, -2])),
+            summands=draw(st.lists(_piece(lambda q, p: q > 0), max_size=3)),
+            germ=draw(st.none() | _jordan().map(RegularGermData)),
+        )
+    eq1 = st.tuples(
+        st.sampled_from([1, -1, zeta(3)]),
+        st.lists(_piece(lambda q, p: q < p), max_size=2),
+        st.none() | st.just(RegularPart()) | _jordan(min_size=1),
+    )
+    return SingularityDatum(
+        INFINITY,
+        slope_gt1=draw(st.lists(_piece(lambda q, p: q > p), max_size=2)),
+        slope_eq1=draw(st.lists(eq1, max_size=2)),
+        slope_lt1=draw(st.lists(_piece(lambda q, p: 0 < q < p), max_size=2)),
+        lt1_regular=draw(st.none() | _jordan()),
+    )
+
+
+@given(_datum())
+@settings(max_examples=150, deadline=None)
+def test_z_sum_matches_the_walk_over_every_field(datum):
+    assert _z_sum(datum) == _ref_z_sum(datum)
+
+
+def test_discrepancy_reads_a_truncated_slope_one_piece_untwisted():
+    # twisting this piece by shat would need rho to more precision than u^2 + O(u^3)
+    trunc = elementary(S({2: 1}, 3), S({-1: 1}))
+    at_inf = SingularityDatum(INFINITY, slope_eq1=[(1, (trunc,), None)])
+    at_zero = SingularityDatum(0, summands=[elementary(u, S({-1: 1}))])
+    assert z_zhat_discrepancy([at_inf], [at_zero]) == 0
+    assert z_zhat_discrepancy([at_zero], [at_inf]) == 0
